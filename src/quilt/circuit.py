@@ -68,6 +68,22 @@ class GateError(ValueError):
     """Invalid gate construction or use (arity, range, parameter shape)."""
 
 
+def rotation_unitary(kind: GateKind, theta: float) -> np.ndarray:
+    """Matrix of the rotation ``kind`` (RX, RY, RZ or RZZ) at angle ``theta``."""
+    t = float(theta)
+    c, s = np.cos(t / 2), np.sin(t / 2)
+    if kind is GateKind.RX:
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if kind is GateKind.RY:
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if kind is GateKind.RZ:
+        return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
+    if kind is GateKind.RZZ:
+        same, diff = np.exp(-0.5j * t), np.exp(0.5j * t)
+        return np.diag([same, diff, diff, same]).astype(complex)
+    raise GateError(f"{kind.value} is not a rotation")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit operation: a gate kind, target qubits and optional angle.
@@ -157,17 +173,8 @@ class Gate:
             return self.matrix
         if self.kind in _FIXED_1Q:
             return _FIXED_1Q[self.kind]
-        t = float(self.param) if self.param is not None else 0.0
-        c, s = np.cos(t / 2), np.sin(t / 2)
-        if self.kind is GateKind.RX:
-            return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-        if self.kind is GateKind.RY:
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        if self.kind is GateKind.RZ:
-            return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
-        if self.kind is GateKind.RZZ:
-            same, diff = np.exp(-0.5j * t), np.exp(0.5j * t)
-            return np.diag([same, diff, diff, same]).astype(complex)
+        if self.kind in ROTATION_KINDS:
+            return rotation_unitary(self.kind, self.param)
         if self.kind is GateKind.CX:
             # qubits = (control, target); index bit 0 is the control
             return np.array(
@@ -305,14 +312,24 @@ class Circuit:
     def with_gate(self, gate: Gate) -> "Circuit":
         return Circuit(self.n_qubits, self.gates + (gate,))
 
-    def bind(self, values: Mapping[str, float]) -> "Circuit":
-        """Substitute every symbolic parameter; the result is fully numeric."""
+    @cached_property
+    def memo(self) -> dict:
+        """Data other modules derive from this circuit and keep for reuse
+        (the statevector simulator's lowering); freed with the circuit."""
+        return {}
+
+    def check_bindings(self, values: Mapping[str, float]) -> None:
+        """Raise ``GateError`` unless ``values`` names exactly :attr:`params`."""
         unknown = set(values) - set(self.params)
         if unknown:
             raise GateError(f"unknown parameter name(s): {sorted(unknown)}")
         missing = set(self.params) - set(values)
         if missing:
             raise GateError(f"missing binding(s) for: {sorted(missing)}")
+
+    def bind(self, values: Mapping[str, float]) -> "Circuit":
+        """Substitute every symbolic parameter; the result is fully numeric."""
+        self.check_bindings(values)
         bound = []
         for g in self.gates:
             if isinstance(g.param, str):
@@ -382,6 +399,27 @@ class PauliString:
     def is_identity(self) -> bool:
         return set(self.ops) == {"I"}
 
+    @cached_property
+    def masks(self) -> tuple[int, int, int]:
+        """``(x_mask, z_mask, n_y)``: ``P|i> = i**n_y (-1)**|i & z_mask| |i ^ x_mask>``.
+
+        Bit ``q`` of a mask is set when qubit ``q`` carries X or Y (x) or
+        Z or Y (z); ``n_y`` counts the Y factors.
+        """
+        x_mask = z_mask = 0
+        for q, op in enumerate(self.ops):
+            if op in "XY":
+                x_mask |= 1 << q
+            if op in "ZY":
+                z_mask |= 1 << q
+        return x_mask, z_mask, self.ops.count("Y")
+
+    @cached_property
+    def memo(self) -> dict:
+        """Data other modules derive from this string and keep for reuse
+        (the statevector simulator's evaluation layout)."""
+        return {}
+
     def restrict(self, qubits: Iterable[int]) -> "PauliString":
         """Substring acting on the given qubits (in the given order)."""
         return PauliString("".join(self.ops[q] for q in qubits))
@@ -394,10 +432,11 @@ class PauliSum:
     construction, so term lists are canonical.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "memo")
 
     def __init__(self, terms: Iterable[tuple[float, PauliString | str]] = ()):
         acc: dict[str, float] = {}
+        strings: dict[str, PauliString] = {}
         width = None
         for coeff, string in terms:
             if isinstance(coeff, complex):
@@ -410,10 +449,13 @@ class PauliSum:
             elif len(ps) != width:
                 raise ValueError("all strings in a PauliSum must have equal length")
             acc[ps.ops] = acc.get(ps.ops, 0.0) + float(coeff)
+            strings.setdefault(ps.ops, ps)  # keeps what is cached on the string
         merged = tuple(
-            (c, PauliString(ops)) for ops, c in acc.items() if c != 0.0
+            (c, strings[ops]) for ops, c in acc.items() if c != 0.0
         )
         object.__setattr__(self, "terms", merged)
+        # derived data other modules keep for reuse (the simulator's diagonal)
+        object.__setattr__(self, "memo", {})
 
     def __setattr__(self, *args):  # immutable after construction
         raise AttributeError("PauliSum is immutable")

@@ -41,7 +41,6 @@ from .dispatch import (
 )
 from .dispatch.protocol import observable_from_json
 from .knit import SpinChainSpec, build_spinchain_circuit, overhead_reduction
-from .simmps import mps_simulate
 
 
 def _existing_file(parser: argparse.ArgumentParser, value: str) -> Path:
@@ -165,13 +164,11 @@ def _knit_instance(spec: SpinChainSpec, seed: int, args):
         aggregate=args.aggregate,
     )
     warn = ""
-    if args.chi is not None:
-        state = mps_simulate(circuit, chi_max=args.chi, trunc_tol=args.trunc_tol)
-        if state.discarded_weight > max(args.trunc_tol, 1e-12):
-            warn = (
-                f"seed {seed}: chi={args.chi} too small "
-                f"(discarded weight {state.discarded_weight:.2e})"
-            )
+    if args.chi is not None and report.discarded_weight > max(args.trunc_tol, 1e-12):
+        warn = (
+            f"seed {seed}: chi={args.chi} too small "
+            f"(discarded weight {report.discarded_weight:.2e})"
+        )
     return {
         "seed": seed,
         "cut_bond": report.cut_bond,

@@ -187,19 +187,13 @@ def _schedule_split(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):
             if not future:
                 raise ScheduleError("deadlock: blocks pending but nothing running")
             time = min(future)
+    kind_of = {b.block_id: b.kind for b in blocks}
     reservations = tuple(
         (p.resource, p.start, p.end)
         for bid, p in placements.items()
-        if bid in placements and _kind_of(blocks, bid) == "quantum"
+        if kind_of[bid] == "quantum"
     )
     return placements, reservations
-
-
-def _kind_of(blocks: Sequence[JobBlock], bid: str) -> str:
-    for b in blocks:
-        if b.block_id == bid:
-            return b.kind
-    raise KeyError(bid)
 
 
 def _schedule_monolithic(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import simsv
 from .circuit import Circuit, Gate, GateKind, PauliString, PauliSum
-from .simmps import entropy_profile
+from .simmps import MpsState, entropy_profile
 
 _COEFF_ATOL = 1e-12
 _CHANNEL_TOL = 1e-8
@@ -447,20 +447,11 @@ def _run_branches(prog, n_frag: int, plan: CutPlan, combo, side: str):
     return branches
 
 
-def _branch_expectations(branches, strings: dict[str, PauliString], n_frag: int):
-    out = {}
-    for key, ps in strings.items():
-        total = 0.0
-        for sign, amps in branches:
-            if ps.is_identity:
-                val = np.vdot(amps, amps)
-            else:
-                work = amps.copy()
-                simsv._apply_pauli(work, ps)
-                val = np.vdot(amps, work)
-            total += sign * val.real
-        out[key] = total
-    return out
+def _branch_expectations(branches, strings: dict[str, PauliString]):
+    return {
+        key: sum(sign * simsv.string_expectation(amps, ps).real for sign, amps in branches)
+        for key, ps in strings.items()
+    }
 
 
 def _split_observable(observable: PauliSum, plan: CutPlan):
@@ -523,8 +514,8 @@ def knit_execute(
                 weight *= plan.decompositions[ordinal].terms[t].coefficient
             lb = _run_branches(left_prog, n_left, plan, combo, "left")
             rb = _run_branches(right_prog, n_right, plan, combo, "right")
-            le = _branch_expectations(lb, left_strings, n_left)
-            re_ = _branch_expectations(rb, right_strings, n_right)
+            le = _branch_expectations(lb, left_strings)
+            re_ = _branch_expectations(rb, right_strings)
             contrib = weight * sum(c * le[a] * re_[b] for c, a, b in split)
             contributions.append(contrib)
             total += contrib
@@ -766,7 +757,11 @@ def build_spinchain_circuit(spec: SpinChainSpec) -> Circuit:
 
 @dataclass(frozen=True)
 class OverheadReport:
-    """Adaptive-vs-baseline sampling overhead for one circuit instance."""
+    """Adaptive-vs-baseline sampling overhead for one circuit instance.
+
+    ``discarded_weight`` is the probability the entropy profile's MPS run
+    truncated away (up to its last checkpoint).
+    """
 
     cut_bond: int
     baseline_bond: int
@@ -774,6 +769,7 @@ class OverheadReport:
     baseline_overhead: float
     adaptive: CutPlan = field(repr=False)
     baseline: CutPlan = field(repr=False)
+    discarded_weight: float = 0.0
 
     @property
     def ratio(self) -> float:
@@ -806,7 +802,8 @@ def overhead_reduction(
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(circuit.gates))
-    profile = entropy_profile(circuit, checkpoints, chi_max=chi_max, trunc_tol=trunc_tol)
+    state = MpsState(circuit.n_qubits, chi_max=chi_max, trunc_tol=trunc_tol)
+    profile = entropy_profile(circuit, checkpoints, state=state)
     adaptive = adaptive_plan(
         circuit, profile, max_fragment=max_fragment,
         imbalance_tol=imbalance_tol, aggregate=aggregate,
@@ -822,4 +819,5 @@ def overhead_reduction(
         base.total_overhead,
         adaptive,
         base,
+        state.discarded_weight,
     )

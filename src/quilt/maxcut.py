@@ -192,7 +192,7 @@ def qaoa_ansatz(graph: Graph, p: int) -> Circuit:
 def expected_cut(graph: Graph, params: QaoaParams, ansatz: Circuit | None = None) -> float:
     if ansatz is None:
         ansatz = qaoa_ansatz(graph, params.p)
-    state = simulate(ansatz.bind(params.bindings()))
+    state = simulate(ansatz, bindings=params.bindings())
     return expectation(state, cost_hamiltonian(graph))
 
 
@@ -233,7 +233,7 @@ def optimize(
 
     def objective(vec: np.ndarray) -> float:
         params = QaoaParams(p, tuple(vec[:p]), tuple(vec[p:]))
-        state = simulate(ansatz.bind(params.bindings()))
+        state = simulate(ansatz, bindings=params.bindings())
         return expectation(state, ham)
 
     rng = np.random.default_rng(seed)
@@ -269,7 +269,7 @@ def sample_assignment(
 ) -> CutAssignment:
     """Best measured bitstring, scored by the true cut value."""
     ansatz = qaoa_ansatz(graph, params.p)
-    state = simulate(ansatz.bind(params.bindings()))
+    state = simulate(ansatz, bindings=params.bindings())
     counts = sample(state, shots, seed=seed)
     best_key = None
     best_val = -1.0

@@ -247,11 +247,15 @@ def entropy_profile(
     chi_max: int | None = None,
     trunc_tol: float = 0.0,
     route: bool = True,
+    state: MpsState | None = None,
 ) -> np.ndarray:
     """Bond entropies at each checkpoint: matrix [checkpoint x bond].
 
     A checkpoint ``c`` means "after the first ``c`` gates"; checkpoints must
-    be strictly increasing and at most the gate count.
+    be strictly increasing and at most the gate count.  The circuit runs on
+    ``state`` if given, a fresh |0...0> MPS whose own ``chi_max`` and
+    ``trunc_tol`` then apply; it is evolved in place to the last checkpoint,
+    so its ``discarded_weight`` afterwards says what truncation cost.
     """
     checkpoints = [int(c) for c in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -260,7 +264,10 @@ def entropy_profile(
         raise MpsError("checkpoints must lie within [0, gate count]")
     if not circuit.is_bound:
         raise MpsError(f"unbound parameters: {circuit.params}")
-    state = MpsState(circuit.n_qubits, chi_max=chi_max, trunc_tol=trunc_tol)
+    if state is None:
+        state = MpsState(circuit.n_qubits, chi_max=chi_max, trunc_tol=trunc_tol)
+    elif state.n_qubits != circuit.n_qubits:
+        raise MpsError("state width does not match circuit")
     rows = []
     applied = 0
     for c in checkpoints:

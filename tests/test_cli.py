@@ -139,6 +139,34 @@ def test_knit_chi_warning(spec_file, tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chi", [1, 2, 16])
+def test_knit_chi_warning_reuses_profile_run(spec_file, tmp_path, capsys, monkeypatch, chi):
+    import quilt.cli
+    from quilt import simmps
+    from quilt.knit import SpinChainSpec, build_spinchain_circuit
+
+    real_init = simmps.MpsState.__init__
+    evolutions = []
+
+    def counting_init(self, *args, **kwargs):
+        evolutions.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simmps.MpsState, "__init__", counting_init)
+    seeds = 3
+    main(["knit", str(spec_file), "--seeds", str(seeds), "--chi", str(chi),
+          "--out", str(tmp_path / "e.csv")])
+    err = capsys.readouterr().err
+    assert len(evolutions) == seeds  # the entropy profile's run only
+    assert not hasattr(quilt.cli, "mps_simulate")
+    monkeypatch.undo()
+    spec = SpinChainSpec.from_json(spec_file.read_text())
+    for seed in range(seeds):
+        state = simmps.mps_simulate(build_spinchain_circuit(spec.realize(seed)), chi_max=chi)
+        too_small = state.discarded_weight > 1e-12
+        assert (f"seed {seed}: chi={chi} too small" in err) == too_small
+
+
 def test_sched_metrics_table(workload_file, capsys):
     assert main(["sched", str(workload_file), "--policy", "both",
                  "--classical", "2", "--qpu", "1"]) == 0

@@ -144,6 +144,17 @@ def test_profile_validates_checkpoints():
         entropy_profile(c, [5])
 
 
+def test_profile_evolves_a_given_state():
+    rng = np.random.default_rng(3)
+    c = random_circuit(rng, 6, 40)
+    state = MpsState(6, chi_max=2)
+    prof = entropy_profile(c, [20, 40], state=state)
+    assert np.array_equal(prof, entropy_profile(c, [20, 40], chi_max=2))
+    assert state.discarded_weight == mps_simulate(c, chi_max=2).discarded_weight > 0
+    with pytest.raises(MpsError):
+        entropy_profile(c, [40], state=MpsState(5))
+
+
 def test_profile_csv_roundtrip_shape():
     c = Circuit(3, (h(0), cx(0, 1), cx(1, 2)))
     prof = entropy_profile(c, [1, 3])

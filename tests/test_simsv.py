@@ -167,3 +167,185 @@ def test_sample_bitstring_orientation():
 
     st = simulate(Circuit(2, (x(0),)))
     assert sample(st, 10, seed=1) == {"10": 10}
+
+
+# parametric circuits simulated with bindings ---------------------------------
+
+
+def _scaled_parametric_circuit(rng, n_qubits, n_gates, names=("a", "b", "c")):
+    """Diagonal-heavy circuit with shared, scaled symbols among bound gates."""
+    from quilt.circuit import Gate, GateKind
+
+    gates = []
+    for _ in range(n_gates):
+        kind = GateKind(rng.choice(["z", "s", "sdg", "t", "rz", "rzz", "cz", "rx", "ry", "h"]))
+        if kind in (GateKind.RZZ, GateKind.CZ):
+            qubits = tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        else:
+            qubits = (int(rng.integers(n_qubits)),)
+        if kind in (GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.RZZ):
+            if rng.random() < 0.6:
+                gates.append(Gate(kind, qubits, str(rng.choice(names)),
+                                  param_scale=float(rng.uniform(-2.5, 2.5))))
+            else:
+                gates.append(Gate(kind, qubits, float(rng.uniform(-np.pi, np.pi))))
+        else:
+            gates.append(Gate(kind, qubits))
+    return Circuit(n_qubits, tuple(gates))
+
+
+def _random_values(rng, circuit):
+    return {name: float(rng.uniform(-np.pi, np.pi)) for name in circuit.params}
+
+
+def _random_state(rng, n_qubits):
+    amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+
+
+def test_bindings_match_bound_circuit_on_random_circuits():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(1 if trial % 2 else 2, 6))
+        if trial % 2:
+            c = random_circuit(rng, n, 30, parametric=True)
+        else:
+            c = _scaled_parametric_circuit(rng, n, 30)
+        if c.is_bound:
+            continue
+        checked += 1
+        for rep in range(4):  # later evaluations reuse the cached lowering
+            values = _random_values(rng, c)
+            init = _random_state(rng, n) if rep % 2 else None
+            got = simulate(c, initial=init, bindings=values).amps
+            ref = simulate(c.bind(values), initial=init).amps
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    assert checked >= 40
+
+
+def test_bindings_symbolic_first_gate_measures_and_initial_state():
+    from quilt.circuit import cz, rx, rz, rzz, s, t
+
+    c = Circuit(3, (rzz(0, 2, "g"), rz(1, "g"), cz(0, 1), t(2), rx(0, "b"),
+                    h(1), s(1), rz(1, 0.4), measure(0), measure(2)))
+    assert c.gates[0].param == "g"
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        values = {"g": float(rng.uniform(-4, 4)), "b": float(rng.uniform(-4, 4))}
+        init = _random_state(rng, 3)
+        ref = simulate(c.bind(values), initial=init).amps
+        assert np.max(np.abs(simulate(c, initial=init, bindings=values).amps - ref)) <= 1e-12
+        ref0 = simulate(c.bind(values)).amps
+        assert np.max(np.abs(simulate(c, bindings=values).amps - ref0)) <= 1e-12
+    assert np.allclose(statevector_oracle(c.bind(values)), ref0, atol=1e-12)
+
+
+def test_bindings_on_fully_bound_circuit():
+    rng = np.random.default_rng(8)
+    c = random_circuit(rng, 4, 25)
+    assert c.is_bound
+    init = _random_state(rng, 4)
+    assert np.array_equal(simulate(c, bindings={}).amps, simulate(c).amps)
+    assert np.array_equal(simulate(c, initial=init, bindings={}).amps,
+                          simulate(c, initial=init).amps)
+
+
+def test_bindings_errors_match_bind():
+    from quilt.circuit import GateError, rx, rz
+
+    c = Circuit(2, (h(0), rz(0, "a"), rx(1, "b")))
+    for values in ({"a": 1.0}, {"a": 1.0, "b": 2.0, "c": 3.0}, {"c": 1.0}):
+        with pytest.raises(GateError) as via_bind:
+            c.bind(values)
+        with pytest.raises(GateError) as via_simulate:
+            simulate(c, bindings=values)
+        assert str(via_simulate.value) == str(via_bind.value)
+    with pytest.raises(GateError):
+        simulate(Circuit(1, (h(0),)), bindings={"a": 1.0})
+    with pytest.raises(SimulationError):
+        simulate(c)
+
+
+def test_bindings_build_no_gates_after_lowering(monkeypatch):
+    from quilt import circuit as cir
+    from quilt.maxcut import Graph, qaoa_ansatz
+
+    ansatz = qaoa_ansatz(Graph(4, ((0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0))), 2)
+    values = {"gamma_1": 0.3, "beta_1": 0.2, "gamma_2": -0.7, "beta_2": 1.1}
+    first = simulate(ansatz, bindings=values)
+    built = []
+    real_post_init = cir.Gate.__post_init__
+    monkeypatch.setattr(cir.Gate, "__post_init__",
+                        lambda self: built.append(self) or real_post_init(self))
+    monkeypatch.setattr(cir.Circuit, "bind", lambda self, v: pytest.fail("bind called"))
+    again = simulate(ansatz, bindings=values)
+    assert built == []
+    assert np.array_equal(again.amps, first.amps)
+
+
+# Pauli-string evaluator -----------------------------------------------------------
+
+
+def _dense_value(amps, psum):
+    from oracles import pauli_matrix
+
+    n = int(np.log2(amps.size))
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    for coeff, string in psum.terms:
+        m += coeff * pauli_matrix(string.ops)
+    return np.vdot(amps, m @ amps)
+
+
+def test_expectation_matches_dense_pauli_sums():
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        st = _random_state(rng, n)
+        terms = [(float(rng.uniform(-2, 2)), "".join(rng.choice(list("IXYZ"), size=n)))
+                 for _ in range(int(rng.integers(1, 9)))]
+        terms.append((float(rng.uniform(-2, 2)), "Y" * n))  # all-Y phase signs
+        terms.append((float(rng.uniform(-2, 2)), "I" * n))
+        ps = PauliSum(terms)
+        ref = _dense_value(st.amps, ps)
+        assert abs(ref.imag) <= 1e-12
+        assert abs(expectation(st, ps) - ref.real) <= 1e-12
+
+
+def test_expectation_near_zero_and_identity_only():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        st = _random_state(rng, n)
+        terms = [(float(rng.uniform(-1, 1)), "".join(rng.choice(list("XYZ"), size=n)))
+                 for _ in range(4)]
+        shift = _dense_value(st.amps, PauliSum(terms)).real
+        ps = PauliSum(terms + [(-shift, "I" * n)])  # true value ~1e-16
+        assert abs(expectation(st, ps)) <= 1e-12
+    st = _random_state(rng, 3)
+    assert expectation(st, PauliSum([(2.5, "III")])) == pytest.approx(2.5, abs=1e-12)
+    assert expectation(simulate(Circuit(2)), PauliSum([(1.0, "XI"), (1.0, "YY")])) == 0.0
+
+
+def test_string_expectation_matches_dense_on_unnormalized_amps():
+    from oracles import pauli_matrix
+    from quilt.circuit import PauliString
+    from quilt.simsv import string_expectation
+
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        amps = 3.0 * (rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n))
+        ops = "".join(rng.choice(list("IXYZ"), size=n))
+        ref = np.vdot(amps, pauli_matrix(ops) @ amps)
+        got = string_expectation(amps, PauliString(ops))
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_expectation_rejects_forced_complex_residue(monkeypatch):
+    from quilt import simsv
+
+    st = _random_state(np.random.default_rng(1), 2)
+    monkeypatch.setattr(simsv, "string_expectation", lambda amps, string: 0.5 + 1e-6j)
+    with pytest.raises(SimulationError, match="imaginary residue"):
+        expectation(st, PauliSum([(1.0, "XZ")]))
