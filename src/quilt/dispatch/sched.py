@@ -9,17 +9,22 @@ duration.  Two policies are compared:
 * ``split``: each phase is its own block tied to its predecessor by a
   dependency; a resource is held only for the block's own duration.
 
-Both policies use list scheduling: at every event the ready blocks (or
-jobs) are started in FIFO submission order on free resources.  Metrics are
-computed from the reservation timeline and are exactly recomputable from
-the returned placements.
+Both policies share one event-driven list scheduler over *units*: a unit
+is a list of blocks run back to back while it holds one node of every kind
+it uses.  Under ``split`` a unit is one block; under ``monolithic`` it is a
+whole job.  At every event the ready units are started in FIFO submission
+order on free resources.  Metrics are computed from the reservation
+timeline and are exactly recomputable from the returned placements.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
+import itertools
 import json
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +67,9 @@ def split_job(phases: Sequence[tuple[str, int]], job_index: int = 1) -> list[Job
         kind_norm = _KINDS.get(str(kind).lower())
         if kind_norm is None:
             raise ScheduleError(f"unknown phase kind {kind!r}")
+        integral = isinstance(duration, numbers.Integral) and not isinstance(duration, bool)
+        if not (integral or (isinstance(duration, float) and duration.is_integer())):
+            raise ScheduleError(f"phase duration {duration!r} is not an integer tick count")
         deps = (f"J_{job_index}_{j - 1}",) if j > 1 else ()
         blocks.append(
             JobBlock(f"J_{job_index}_{j}", job_index, j, kind_norm, int(duration), deps)
@@ -85,7 +93,7 @@ def load_workload(path) -> list[JobBlock]:
         raise ScheduleError(f"cannot read workload {path}: {exc}")
     try:
         jobs = [
-            [(str(kind), int(dur)) for kind, dur in job["phases"]]
+            [(kind, dur) for kind, dur in job["phases"]]
             for job in data["jobs"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -150,112 +158,67 @@ def _check_dag(blocks: Sequence[JobBlock]) -> dict[str, JobBlock]:
     return by_id
 
 
-def _schedule_split(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):
-    placements: dict[str, Placement] = {}
+def _schedule(units: list[list[JobBlock]], n_classical: int, n_qpu: int, reserve_all: bool):
+    """List-schedule units, each holding one node of every kind it uses for its span.
+
+    A unit's blocks run back to back.  Ready units wait in one FIFO heap per
+    kind set; when a queue's head cannot start, nothing behind it can until
+    a release, so starting the lowest startable head at each event is the
+    same as scanning every ready unit in submission order.  Reservations
+    are QPU spans only, unless ``reserve_all``.
+    """
+    unit_of = {b.block_id: u for u, unit in enumerate(units) for b in unit}
+    kinds = [tuple(sorted({b.kind for b in unit})) for unit in units]
+    waiting = []
+    children: list[list[int]] = [[] for _ in units]
+    for u, unit in enumerate(units):
+        deps = {unit_of[d] for b in unit for d in b.deps} - {u}
+        waiting.append(len(deps))
+        for d in deps:
+            children[d].append(u)
     free = {
         "classical": [f"cpu{i}" for i in range(n_classical)],
         "quantum": [f"qpu{i}" for i in range(n_qpu)],
     }
-    done_at: dict[str, int] = {}
-    running: list[tuple[int, str, str, str]] = []  # (end, block_id, kind, resource)
-    pending = list(blocks)
-    time = 0
-    while pending or running:
-        # finish everything ending at the current time
-        for end, bid, kind, res in sorted(running):
-            if end <= time:
-                free[kind].append(res)
-                done_at[bid] = end
-        running = [r for r in running if r[0] > time]
-        free["classical"].sort()
-        free["quantum"].sort()
-        started = True
-        while started:
-            started = False
-            for b in list(pending):
-                if any(d not in done_at or done_at[d] > time for d in b.deps):
-                    continue
-                if not free[b.kind]:
-                    continue
-                res = free[b.kind].pop(0)
-                placements[b.block_id] = Placement(res, time, time + b.duration)
-                running.append((time + b.duration, b.block_id, b.kind, res))
-                pending.remove(b)
-                started = True
-        if pending or running:
-            future = [end for end, *_ in running]
-            if not future:
-                raise ScheduleError("deadlock: blocks pending but nothing running")
-            time = min(future)
-    kind_of = {b.block_id: b.kind for b in blocks}
-    reservations = tuple(
-        (p.resource, p.start, p.end)
-        for bid, p in placements.items()
-        if kind_of[bid] == "quantum"
-    )
-    return placements, reservations
-
-
-def _schedule_monolithic(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):
-    jobs: dict[int, list[JobBlock]] = {}
-    for b in blocks:
-        jobs.setdefault(b.job, []).append(b)
-    order = sorted(jobs)
-    for i in order:
-        jobs[i].sort(key=lambda b: b.order)
-    job_deps: dict[int, set[int]] = {}
-    by_id = {b.block_id: b for b in blocks}
-    for i in order:
-        ext = set()
-        for b in jobs[i]:
-            for d in b.deps:
-                if by_id[d].job != i:
-                    ext.add(by_id[d].job)
-        job_deps[i] = ext
-
+    for names in free.values():
+        heapq.heapify(names)  # string order: cpu10 comes before cpu2
+    ready: dict[tuple[str, ...], list[int]] = {ks: [] for ks in set(kinds)}
+    for u in range(len(units)):
+        if not waiting[u]:
+            heapq.heappush(ready[kinds[u]], u)
     placements: dict[str, Placement] = {}
     reservations: list[tuple[str, int, int]] = []
-    free = {
-        "classical": [f"cpu{i}" for i in range(n_classical)],
-        "quantum": [f"qpu{i}" for i in range(n_qpu)],
-    }
-    finished: dict[int, int] = {}
-    running: list[tuple[int, int, dict[str, str]]] = []  # (end, job, held resources)
-    pending = list(order)
+    running: list[tuple[int, int, dict[str, str]]] = []  # (end, unit, held)
     time = 0
-    while pending or running:
-        for end, job, held in sorted(running, key=lambda r: (r[0], r[1])):
-            if end <= time:
-                finished[job] = end
-                for kind, res in held.items():
-                    free[kind].append(res)
-        running = [r for r in running if r[0] > time]
-        free["classical"].sort()
-        free["quantum"].sort()
-        started = True
-        while started:
-            started = False
-            for job in list(pending):
-                if any(d not in finished or finished[d] > time for d in job_deps[job]):
-                    continue
-                kinds = {b.kind for b in jobs[job]}
-                if any(not free[k] for k in kinds):
-                    continue
-                held = {k: free[k].pop(0) for k in sorted(kinds)}
-                t = time
-                for b in jobs[job]:
-                    placements[b.block_id] = Placement(held[b.kind], t, t + b.duration)
-                    t += b.duration
-                for k, res in held.items():
+    while True:
+        while True:
+            heads = [q[0] for ks, q in ready.items() if q and all(free[k] for k in ks)]
+            if not heads:
+                break
+            u = min(heads)
+            heapq.heappop(ready[kinds[u]])
+            held = {k: heapq.heappop(free[k]) for k in kinds[u]}
+            t = time
+            for b in units[u]:
+                placements[b.block_id] = Placement(held[b.kind], t, t + b.duration)
+                t += b.duration
+            for k, res in held.items():
+                if reserve_all or k == "quantum":
                     reservations.append((res, time, t))
-                running.append((t, job, held))
-                pending.remove(job)
-                started = True
-        if pending or running:
-            future = [end for end, *_ in running]
-            if not future:
-                raise ScheduleError("deadlock: jobs pending but nothing running")
-            time = min(future)
+            heapq.heappush(running, (t, u, held))
+        if not running:
+            break
+        time = running[0][0]
+        while running and running[0][0] == time:
+            _, u, held = heapq.heappop(running)
+            for k, res in held.items():
+                heapq.heappush(free[k], res)
+            for c in children[u]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    heapq.heappush(ready[kinds[c]], c)
+    if any(waiting):  # only a dependency cycle between units leaves one waiting
+        raise ScheduleError("deadlock: jobs pending but nothing running")
     return placements, tuple(reservations)
 
 
@@ -270,11 +233,13 @@ def schedule(
         raise ScheduleError("need at least one resource of each kind")
     _check_dag(blocks)
     if policy == "split":
-        placements, reservations = _schedule_split(blocks, n_classical, n_qpu)
+        units = [[b] for b in blocks]
     elif policy == "monolithic":
-        placements, reservations = _schedule_monolithic(blocks, n_classical, n_qpu)
+        ordered = sorted(blocks, key=lambda b: (b.job, b.order))
+        units = [list(job) for _, job in itertools.groupby(ordered, key=lambda b: b.job)]
     else:
         raise ScheduleError(f"unknown policy {policy!r}")
+    placements, reservations = _schedule(units, n_classical, n_qpu, policy == "monolithic")
     busy = sum(b.duration for b in blocks if b.kind == "quantum")
     reserved = sum(end - start for res, start, end in reservations if res.startswith("qpu"))
     idle_fraction = 0.0 if reserved == 0 else (reserved - busy) / reserved
@@ -304,11 +269,15 @@ def verify_schedule(blocks: Sequence[JobBlock], sched: Schedule) -> None:
             if sched.placements[d].end > p.start:
                 raise ScheduleError(f"{bid} starts before its dependency {d} ends")
         by_resource.setdefault(p.resource, []).append((p.start, p.end))
-    for res, spans in by_resource.items():
-        spans.sort()
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            if s2 < e1:
-                raise ScheduleError(f"overlapping placements on {res}")
+    reserved: dict[str, list[tuple[int, int]]] = {}
+    for res, start, end in sched.reservations:
+        reserved.setdefault(res, []).append((start, end))
+    for what, table in (("placements", by_resource), ("reservations", reserved)):
+        for res, spans in table.items():
+            spans.sort()
+            for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+                if s2 < e1:
+                    raise ScheduleError(f"overlapping {what} on {res}")
 
 
 def schedule_to_csv(sched: Schedule) -> str:

@@ -3,11 +3,23 @@
 Everything here is built from first principles (kron chains over
 hand-written 2x2 matrices) so it never reuses the simulator kernels it is
 meant to check.  Qubit 0 is the least-significant bit of a basis index.
+The scheduler reference at the end keeps the per-policy scan loops that
+``sched.schedule`` replaced with one event loop.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+from quilt.dispatch.sched import (
+    JobBlock,
+    Placement,
+    Schedule,
+    ScheduleError,
+    ScheduleMetrics,
+)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -215,3 +227,129 @@ def random_circuit(rng, n_qubits, n_gates, nearest_neighbor=False, parametric=Fa
             else:
                 gates.append(cir.Gate(cir.GateKind(kind), (a, b)))
     return cir.Circuit(n_qubits, tuple(gates))
+
+
+# The list scheduler's reference: one FIFO scan loop per policy, which
+# rescans every pending block (or job) at every event.
+
+
+def _schedule_split(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):
+    placements: dict[str, Placement] = {}
+    free = {
+        "classical": [f"cpu{i}" for i in range(n_classical)],
+        "quantum": [f"qpu{i}" for i in range(n_qpu)],
+    }
+    done_at: dict[str, int] = {}
+    running: list[tuple[int, str, str, str]] = []  # (end, block_id, kind, resource)
+    pending = list(blocks)
+    time = 0
+    while pending or running:
+        # finish everything ending at the current time
+        for end, bid, kind, res in sorted(running):
+            if end <= time:
+                free[kind].append(res)
+                done_at[bid] = end
+        running = [r for r in running if r[0] > time]
+        free["classical"].sort()
+        free["quantum"].sort()
+        started = True
+        while started:
+            started = False
+            for b in list(pending):
+                if any(d not in done_at or done_at[d] > time for d in b.deps):
+                    continue
+                if not free[b.kind]:
+                    continue
+                res = free[b.kind].pop(0)
+                placements[b.block_id] = Placement(res, time, time + b.duration)
+                running.append((time + b.duration, b.block_id, b.kind, res))
+                pending.remove(b)
+                started = True
+        if pending or running:
+            future = [end for end, *_ in running]
+            if not future:
+                raise ScheduleError("deadlock: blocks pending but nothing running")
+            time = min(future)
+    kind_of = {b.block_id: b.kind for b in blocks}
+    reservations = tuple(
+        (p.resource, p.start, p.end)
+        for bid, p in placements.items()
+        if kind_of[bid] == "quantum"
+    )
+    return placements, reservations
+
+
+def _schedule_monolithic(blocks: Sequence[JobBlock], n_classical: int, n_qpu: int):
+    jobs: dict[int, list[JobBlock]] = {}
+    for b in blocks:
+        jobs.setdefault(b.job, []).append(b)
+    order = sorted(jobs)
+    for i in order:
+        jobs[i].sort(key=lambda b: b.order)
+    job_deps: dict[int, set[int]] = {}
+    by_id = {b.block_id: b for b in blocks}
+    for i in order:
+        ext = set()
+        for b in jobs[i]:
+            for d in b.deps:
+                if by_id[d].job != i:
+                    ext.add(by_id[d].job)
+        job_deps[i] = ext
+
+    placements: dict[str, Placement] = {}
+    reservations: list[tuple[str, int, int]] = []
+    free = {
+        "classical": [f"cpu{i}" for i in range(n_classical)],
+        "quantum": [f"qpu{i}" for i in range(n_qpu)],
+    }
+    finished: dict[int, int] = {}
+    running: list[tuple[int, int, dict[str, str]]] = []  # (end, job, held resources)
+    pending = list(order)
+    time = 0
+    while pending or running:
+        for end, job, held in sorted(running, key=lambda r: (r[0], r[1])):
+            if end <= time:
+                finished[job] = end
+                for kind, res in held.items():
+                    free[kind].append(res)
+        running = [r for r in running if r[0] > time]
+        free["classical"].sort()
+        free["quantum"].sort()
+        started = True
+        while started:
+            started = False
+            for job in list(pending):
+                if any(d not in finished or finished[d] > time for d in job_deps[job]):
+                    continue
+                kinds = {b.kind for b in jobs[job]}
+                if any(not free[k] for k in kinds):
+                    continue
+                held = {k: free[k].pop(0) for k in sorted(kinds)}
+                t = time
+                for b in jobs[job]:
+                    placements[b.block_id] = Placement(held[b.kind], t, t + b.duration)
+                    t += b.duration
+                for k, res in held.items():
+                    reservations.append((res, time, t))
+                running.append((t, job, held))
+                pending.remove(job)
+                started = True
+        if pending or running:
+            future = [end for end, *_ in running]
+            if not future:
+                raise ScheduleError("deadlock: jobs pending but nothing running")
+            time = min(future)
+    return placements, tuple(reservations)
+
+
+def reference_schedule(blocks, n_classical: int, n_qpu: int, policy: str) -> Schedule:
+    """``sched.schedule`` computed by the per-policy scan loops above."""
+    run = {"split": _schedule_split, "monolithic": _schedule_monolithic}[policy]
+    placements, reservations = run(blocks, n_classical, n_qpu)
+    busy = sum(b.duration for b in blocks if b.kind == "quantum")
+    reserved = sum(end - start for res, start, end in reservations if res.startswith("qpu"))
+    idle_fraction = 0.0 if reserved == 0 else (reserved - busy) / reserved
+    makespan = max((p.end for p in placements.values()), default=0)
+    return Schedule(
+        policy, placements, reservations, ScheduleMetrics(busy, reserved, idle_fraction, makespan)
+    )

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from oracles import reference_schedule
 
+from quilt.cli import main
 from quilt.dispatch.sched import (
     JobBlock,
     ScheduleError,
@@ -110,6 +113,58 @@ def random_workload(rng):
     return make_workload(jobs)
 
 
+def with_forward_deps(rng, blocks):
+    """Add cross-job deps, each on a block of an earlier job, so no job cycle forms."""
+    out = []
+    for b in blocks:
+        earlier = [a.block_id for a in blocks if a.job < b.job]
+        if earlier and rng.random() < 0.3:
+            extra = {str(d) for d in rng.choice(earlier, size=int(rng.integers(1, 3)))}
+            b = dataclasses.replace(b, deps=b.deps + tuple(sorted(extra - set(b.deps))))
+        out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("policy", ["split", "monolithic"])
+def test_schedule_matches_reference_loops(policy):
+    rng = np.random.default_rng(7 if policy == "split" else 8)
+    for case in range(300):
+        blocks = random_workload(rng)
+        if case % 2:
+            blocks = with_forward_deps(rng, blocks)
+        n_c = int(rng.integers(1, 13))  # 10-12 CPUs order cpu10 before cpu2
+        n_q = int(rng.integers(1, 4))
+        got = schedule(blocks, n_c, n_q, policy=policy)
+        want = reference_schedule(blocks, n_c, n_q, policy)
+        assert list(got.placements.items()) == list(want.placements.items())
+        assert got.reservations == want.reservations
+        assert got.metrics == want.metrics
+
+
+def test_job_level_cycle_deadlocks_monolithic_only():
+    # the block graph is acyclic, but job 1 waits on job 2 and job 2 on job 1
+    blocks = [
+        JobBlock("J_1_1", 1, 1, "classical", 2),
+        JobBlock("J_2_1", 2, 1, "quantum", 1, deps=("J_1_1",)),
+        JobBlock("J_1_2", 1, 2, "quantum", 1, deps=("J_1_1", "J_2_1")),
+        JobBlock("J_2_2", 2, 2, "classical", 3, deps=("J_2_1",)),
+    ]
+    with pytest.raises(ScheduleError, match="deadlock"):
+        schedule(blocks, 2, 1, policy="monolithic")
+    split = schedule(blocks, 2, 1, policy="split")
+    verify_schedule(blocks, split)
+    assert split.metrics.makespan == 6
+
+
+def test_verify_rejects_overlapping_reservations():
+    blocks = make_workload([[("c", 2), ("q", 1)], [("q", 1)]])
+    mono = schedule(blocks, 1, 1, policy="monolithic")
+    verify_schedule(blocks, mono)
+    overlapping = dataclasses.replace(mono, reservations=(("qpu0", 0, 3), ("qpu0", 2, 4)))
+    with pytest.raises(ScheduleError, match="overlapping reservations on qpu0"):
+        verify_schedule(blocks, overlapping)
+
+
 def test_split_dominates_monolithic_on_random_workloads():
     rng = np.random.default_rng(2024)
     makespan_regressions = 0
@@ -172,6 +227,25 @@ def test_load_workload_json(tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         load_workload(bad)
+
+
+@pytest.mark.parametrize("duration", [2.7, True, "3"])
+def test_load_workload_rejects_non_integer_durations(tmp_path, capsys, duration):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"jobs": [{"phases": [["c", 1], ["q", duration]]}]}))
+    with pytest.raises(ScheduleError, match="tick count"):
+        load_workload(path)
+    assert main(["sched", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_split_job_accepts_integer_durations():
+    blocks = split_job([("c", np.int64(3)), ("q", 2), ("c", 4.0)])
+    assert [b.duration for b in blocks] == [3, 2, 4]
+    assert all(type(b.duration) is int for b in blocks)
+    for bad in (np.float64(1.5), np.True_, None):
+        with pytest.raises(ScheduleError):
+            split_job([("q", bad)])
 
 
 def test_resource_validation():
