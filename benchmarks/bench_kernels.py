@@ -15,6 +15,11 @@ A second table gives QAOA objective evaluations per second (p = 1 on
 backend: the lowered ``simulate(ansatz, bindings=...)`` path against
 ``simulate(ansatz.bind(...))``, after checking that both give the same
 values.
+
+A third table gives exact-mode knit term combinations per second on 12-site
+Ising chains cut at the balanced bond, with 2, 3 and 4 Trotter steps (one
+cut RZZ per step: 36, 216 and 1296 combinations), after checking each
+knitted value against the uncut ``simulate``.
 """
 
 import argparse
@@ -22,13 +27,15 @@ import time
 
 import numpy as np
 
-from quilt import kernels
-from quilt.circuit import Circuit, Gate, GateKind
+from quilt import kernels, knit
+from quilt.circuit import Circuit, Gate, GateKind, PauliSum
 from quilt.maxcut import Graph, cost_hamiltonian, qaoa_ansatz
 from quilt.simsv import expectation, simulate
 
 QAOA_SIZES = (6, 9, 12)
 QAOA_EVALS = 300
+KNIT_SITES = 12
+KNIT_CUTS = (2, 3, 4)
 
 
 def random_layers(rng, n_qubits: int, n_gates: int) -> Circuit:
@@ -90,6 +97,32 @@ def time_qaoa_objective(rng, n_nodes: int, evals: int) -> tuple[float, float]:
     return rates[0], rates[1]
 
 
+def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float]:
+    """(term combinations, exact-mode combinations per second) for one
+    ``n_cuts``-step chain."""
+    n = KNIT_SITES
+    spec = knit.SpinChainSpec(
+        n, 1.0, n_cuts,
+        couplings=tuple(rng.uniform(0.2, 1.2, size=n - 1)),
+        transverse=tuple(rng.uniform(0.2, 0.8, size=n)),
+        longitudinal=tuple(rng.uniform(0.0, 0.4, size=n)),
+    )
+    circuit = knit.build_spinchain_circuit(spec)
+    plan = knit.baseline_plan(circuit)
+    obs = PauliSum([(1.0, "Z" + "I" * (n - 1)), (0.5, "I" * (n - 1) + "X"),
+                    (0.8, "I" * (n // 2 - 1) + "ZZ" + "I" * (n - n // 2 - 1))])
+    result = knit.knit_execute(circuit, plan, obs)
+    uncut = expectation(simulate(circuit), obs)
+    if abs(result.value - uncut) > 1e-9:
+        raise SystemExit(f"knitted value {result.value!r} differs from uncut {uncut!r}")
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        knit.knit_execute(circuit, plan, obs)
+        best = min(best, time.perf_counter() - start)
+    return len(result.per_term_values), len(result.per_term_values) / best
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, default=20)
@@ -132,6 +165,13 @@ def main() -> None:
     for n_nodes in QAOA_SIZES:
         bound, lowered = time_qaoa_objective(rng, n_nodes, QAOA_EVALS)
         print(f"{n_nodes:<8}{bound:>14.0f}{lowered:>17.0f}{lowered / bound:>8.1f}x")
+
+    print(f"\nExact knitting ({KNIT_SITES}-site chain, balanced cut, best of "
+          f"{args.repeats}, {kernels.active_backend()} kernels)")
+    print(f"{'cuts':<6}{'combinations':>13}{'combinations/s':>16}")
+    for n_cuts in KNIT_CUTS:
+        combinations, rate = time_knit(rng, n_cuts, args.repeats)
+        print(f"{n_cuts:<6}{combinations:>13}{rate:>16.0f}")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,13 @@ class JobBlock:
     def __post_init__(self):
         if self.kind not in ("classical", "quantum"):
             raise ScheduleError(f"unknown block kind {self.kind!r}")
-        if self.duration < 1:
+        d = self.duration
+        integral = isinstance(d, numbers.Integral) and not isinstance(d, bool)
+        if not (integral or (isinstance(d, float) and d.is_integer())):
+            raise ScheduleError(f"block duration {d!r} is not an integer tick count")
+        if d < 1:
             raise ScheduleError("block duration must be a positive tick count")
+        object.__setattr__(self, "duration", int(d))
         if _ID_RE.match(self.block_id) is None:
             raise ScheduleError(f"block id {self.block_id!r} is not J_<i>_<j>")
 
@@ -67,13 +72,8 @@ def split_job(phases: Sequence[tuple[str, int]], job_index: int = 1) -> list[Job
         kind_norm = _KINDS.get(str(kind).lower())
         if kind_norm is None:
             raise ScheduleError(f"unknown phase kind {kind!r}")
-        integral = isinstance(duration, numbers.Integral) and not isinstance(duration, bool)
-        if not (integral or (isinstance(duration, float) and duration.is_integer())):
-            raise ScheduleError(f"phase duration {duration!r} is not an integer tick count")
         deps = (f"J_{job_index}_{j - 1}",) if j > 1 else ()
-        blocks.append(
-            JobBlock(f"J_{job_index}_{j}", job_index, j, kind_norm, int(duration), deps)
-        )
+        blocks.append(JobBlock(f"J_{job_index}_{j}", job_index, j, kind_norm, duration, deps))
     return blocks
 
 

@@ -11,8 +11,14 @@ factorizes across the cut.  The price is the sampling overhead
 gate ``i`` - for ``RZZ(theta)`` that is ``1 + 2|sin(theta)|``, for CX/CZ
 it is 3.
 
-Each decomposition is checked numerically against the original gate's
-channel on a complete operator basis at construction time, so a wrong
+Exact execution runs each fragment once, in lockstep, as one 2-D batch of
+states (one per row).  At each cut the rows fork once per distinct side
+option (5 per side for RZZ/CX/CZ; a signed measurement forks twice), so
+gates before a cut run once for all combinations sharing that prefix.
+
+Each decomposition is checked at construction time against the original
+gate's channel, ``sum_t c_t (R_t (x) L_t)`` against ``U (x) U*`` as 16x16
+superoperators built from the 2x2 pieces execution applies, so a wrong
 coefficient or local sequence cannot survive long enough to bias results.
 
 Cut-point selection is entropy-guided: an MPS run produces per-bond
@@ -24,19 +30,22 @@ inferred from entropy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import simsv
+from . import kernels, simsv
 from .circuit import Circuit, Gate, GateKind, PauliString, PauliSum
 from .simmps import MpsState, entropy_profile
 
 _COEFF_ATOL = 1e-12
 _CHANNEL_TOL = 1e-8
+_BATCH_AMPS = 1 << 22  # most amplitudes one lockstep batch holds
 
 
 class KnitError(ValueError):
@@ -129,57 +138,38 @@ _MEAS_ROTATION = {
 }
 
 
-def _side_channel(ops: tuple[LocalOp, ...], meas: str | None):
-    """2x2-density-matrix map of one term side (ops then signed measurement)."""
+@functools.lru_cache(maxsize=None)
+def _side_pieces(ops: tuple[LocalOp, ...], meas: str | None):
+    """One term side as ``(sign, M)`` pieces, ``rho -> sum sign * M rho M^dag``:
+    the ops' product, or with a signed measurement one projection per
+    outcome (rotated back) after it, of sign +1 for bit 0 and -1 for bit 1."""
+    u = functools.reduce(np.matmul, [op.unitary() for op in ops[::-1]], np.eye(2, dtype=complex))
+    if meas is None:
+        return ((1.0, u),)
+    v = _MEAS_ROTATION[meas]
+    return tuple((sign, v.conj().T @ np.diag(p) @ v @ u)
+                 for sign, p in ((1.0, [1, 0]), (-1.0, [0, 1])))
 
-    def apply(rho: np.ndarray) -> np.ndarray:
-        for op in ops:
-            u = op.unitary()
-            rho = u @ rho @ u.conj().T
-        if meas is not None:
-            v = _MEAS_ROTATION[meas]
-            rho = v @ rho @ v.conj().T
-            p0 = np.zeros((2, 2), dtype=complex)
-            p1 = np.zeros((2, 2), dtype=complex)
-            p0[0, 0] = rho[0, 0]
-            p1[1, 1] = rho[1, 1]
-            rho = p0 - p1
-            rho = v.conj().T @ rho @ v
-        return rho
 
-    return apply
+@functools.lru_cache(maxsize=None)
+def _side_superop(ops: tuple[LocalOp, ...], meas: str | None) -> np.ndarray:
+    """4x4 superoperator of one term side on row-major vec(rho)."""
+    return sum(sign * np.kron(m, m.conj()) for sign, m in _side_pieces(ops, meas))
 
 
 def channel_residual(dec: CutGateDecomposition) -> float:
     """Max deviation between the term mixture and the gate's channel over a
-    complete operator basis of two-qubit inputs."""
-    u = dec.original.unitary()
-    maps = [
-        (t.coefficient, _side_channel(t.left_ops, t.left_meas),
-         _side_channel(t.right_ops, t.right_meas))
-        for t in dec.terms
-    ]
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            rho = np.zeros((4, 4), dtype=complex)
-            rho[i, j] = 1.0
-            expected = u @ rho @ u.conj().T
-            got = np.zeros((4, 4), dtype=complex)
-            # qubit A is index bit 0: rho[a + 2b, a' + 2b']
-            t4 = rho.reshape(2, 2, 2, 2)  # (b, a, b', a')
-            for coeff, left, right in maps:
-                acc = np.zeros((2, 2, 2, 2), dtype=complex)
-                for b in range(2):
-                    for bp in range(2):
-                        acc[b, :, bp, :] += left(t4[b, :, bp, :])
-                out = np.zeros((2, 2, 2, 2), dtype=complex)
-                for a in range(2):
-                    for ap in range(2):
-                        out[:, a, :, ap] += right(acc[:, a, :, ap])
-                got += coeff * out.reshape(4, 4)
-            worst = max(worst, float(np.max(np.abs(expected - got))))
-    return worst
+    complete operator basis of two-qubit inputs: the largest entry of
+    ``sum_t c_t (R_t (x) L_t) - U (x) U*`` as 16x16 superoperators."""
+    u = dec.original.unitary().reshape(2, 2, 2, 2)  # [b, a, B, A]: side A is bit 0
+    # vec(rho) index bits in kron(R, L) order: (b, b', a, a') out, (B, B', A, A') in
+    want = np.multiply.outer(u, u.conj()).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16)
+    coeffs = np.array([t.coefficient for t in dec.terms])
+    right = np.array([_side_superop(t.right_ops, t.right_meas) for t in dec.terms])
+    left = np.array([_side_superop(t.left_ops, t.left_meas) for t in dec.terms])
+    # kron(R, L)[(i, j), (k, l)] = R[i, k] * L[j, l]
+    got = np.tensordot(coeffs, right[:, :, None, :, None] * left[:, None, :, None, :], axes=1)
+    return float(np.max(np.abs(got.reshape(16, 16) - want)))
 
 
 def _finish(gate: Gate, terms: Sequence[CutTerm]) -> CutGateDecomposition:
@@ -389,69 +379,90 @@ def _fragment_programs(circuit: Circuit, plan: CutPlan):
             continue
         if g.kind is GateKind.MEASURE:
             continue
-        if all(q <= bond for q in g.qubits):
-            local = Gate(g.kind, tuple(_local_index(q, bond) for q in g.qubits),
-                         g.param, matrix=g.matrix)
-            left_prog.append(("gate", local))
-        elif all(q > bond for q in g.qubits):
-            local = Gate(g.kind, tuple(_local_index(q, bond) for q in g.qubits),
-                         g.param, matrix=g.matrix)
-            right_prog.append(("gate", local))
-        else:
+        sides = {q <= bond for q in g.qubits}
+        if len(sides) > 1:
             raise KnitError(
                 f"gate at position {i} crosses bond {bond} but is not in the plan"
             )
+        local = Gate(g.kind, tuple(_local_index(q, bond) for q in g.qubits),
+                     g.param, matrix=g.matrix)
+        (left_prog if True in sides else right_prog).append(("gate", local))
     return left_prog, right_prog
 
 
-def _project(amps: np.ndarray, q: int, bit: int) -> np.ndarray:
-    out = amps.copy()
-    view = out.reshape(-1, 2, 1 << q)
-    view[:, 1 - bit, :] = 0.0
-    return out
-
-
-def _run_branches(prog, n_frag: int, plan: CutPlan, combo, side: str):
-    """Evaluate one fragment with signed branch expansion over measurements.
-
-    Returns [(sign, unnormalized amplitudes)] covering the term channels.
-    """
-    amps = np.zeros(1 << n_frag, dtype=np.complex128)
-    amps[0] = 1.0
-    branches = [(1.0, amps)]
-    for item in prog:
-        if item[0] == "gate":
-            for _, a in branches:
-                simsv._apply_gate(a, item[1])
+def _compile_fragment(prog, n_frag: int) -> list[tuple]:
+    """Batch ops: ``("phase", vector)`` per run of diagonal gates, ``("single",
+    q, 2x2)`` per other 1q gate and ``("rows", gate)`` per other gate, applied
+    row by row (the multi-qubit kernels take n from the array size)."""
+    ops: list[tuple] = []
+    for diagonal, items in itertools.groupby(
+        prog, lambda item: item[0] == "gate" and item[1].kind in simsv._DIAGONAL_KINDS
+    ):
+        if diagonal:
+            ops.append(("phase", simsv._diagonal_phase([g for _, g in items], n_frag)))
             continue
-        _, ordinal, q = item
-        term = plan.decompositions[ordinal].terms[combo[ordinal]]
-        ops = term.left_ops if side == "left" else term.right_ops
-        meas = term.left_meas if side == "left" else term.right_meas
-        for op in ops:
-            g = op.gate(q)
-            for _, a in branches:
-                simsv._apply_gate(a, g)
-        if meas is not None:
-            v = _MEAS_ROTATION[meas]
-            rot = Gate(GateKind.UNITARY, (q,), matrix=v)
-            rot_back = Gate(GateKind.UNITARY, (q,), matrix=v.conj().T)
-            new_branches = []
-            for sign, a in branches:
-                simsv._apply_gate(a, rot)
-                for bit in (0, 1):
-                    proj = _project(a, q, bit)
-                    simsv._apply_gate(proj, rot_back)
-                    new_branches.append((sign if bit == 0 else -sign, proj))
-            branches = new_branches
-    return branches
+        for item in items:
+            gate = item[1]
+            if item[0] == "slot":
+                ops.append(item)
+            elif len(gate.qubits) == 1:
+                ops.append(("single", gate.qubits[0], gate.unitary()))
+            else:
+                ops.append(("rows", gate))
+    return ops
 
 
-def _branch_expectations(branches, strings: dict[str, PauliString]):
-    return {
-        key: sum(sign * simsv.string_expectation(amps, ps).real for sign, amps in branches)
-        for key, ps in strings.items()
-    }
+def _run_lockstep(ops, amps, seq, sign, pieces, strings, out) -> None:
+    """Run ``ops`` on a batch of states (one per row); add each row's signed
+    string expectations into ``out[string, seq[row]]``.  At a slot each row
+    is copied once per piece of its cut: one batch while it holds at most
+    ``_BATCH_AMPS`` amplitudes, else one batch per piece."""
+    for i, op in enumerate(ops):
+        if op[0] == "phase":
+            amps *= op[1]
+        elif op[0] == "single":
+            kernels.apply_single(amps.reshape(-1), op[1], op[2])
+        elif op[0] == "rows":
+            for row in amps:
+                simsv._apply_gate(row, op[1])
+        elif op[0] == "slot":
+            _, ordinal, q = op
+            cut = pieces[ordinal]
+            rows = len(amps)
+            groups = [cut] if len(cut) * amps.size <= _BATCH_AMPS else [[p] for p in cut]
+            for group in groups:
+                batch = np.concatenate([amps] * len(group))
+                for k, (_, _, m) in enumerate(group):
+                    kernels.apply_single(batch[k * rows:(k + 1) * rows].reshape(-1), q, m)
+                _run_lockstep(ops[i + 1:], batch,
+                              np.concatenate([seq + shift for shift, _, _ in group]),
+                              np.concatenate([sign * s for _, s, _ in group]),
+                              pieces, strings, out)
+            return
+    for k, ps in enumerate(strings):
+        values = simsv.string_expectation(amps, ps).real
+        out[k] += np.bincount(seq, weights=sign * values, minlength=out.shape[1])
+
+
+def _fragment_values(prog, n_frag: int, plan: CutPlan, side: str, strings):
+    """Every string's signed expectation for each sequence of distinct side
+    options, as ``{key: array with one axis per cut}``, and the index that
+    maps term combinations onto those axes."""
+    options, index = [], []
+    for dec in plan.decompositions:
+        sides = [(getattr(t, f"{side}_ops"), getattr(t, f"{side}_meas")) for t in dec.terms]
+        options.append(list(dict.fromkeys(sides)))
+        index.append([options[-1].index(x) for x in sides])
+    shape = tuple(len(o) for o in options)
+    # a row's sequence index counts the first cut's option most significant
+    pieces = [[(o * math.prod(shape[d + 1:]), sign, m)
+               for o, x in enumerate(opts) for sign, m in _side_pieces(*x)]
+              for d, opts in enumerate(options)]
+    out = np.zeros((len(strings), math.prod(shape)))
+    amps = np.eye(1, 1 << n_frag, dtype=np.complex128)  # one row: |0...0>
+    _run_lockstep(_compile_fragment(prog, n_frag), amps, np.zeros(1, dtype=np.intp),
+                  np.ones(1), pieces, list(strings.values()), out)
+    return {key: v.reshape(shape) for key, v in zip(strings, out)}, np.ix_(*index)
 
 
 def _split_observable(observable: PauliSum, plan: CutPlan):
@@ -486,12 +497,13 @@ def knit_execute(
 ) -> KnitResult:
     """Run both fragments over the plan's term ensemble and recombine.
 
-    ``mode="exact"`` enumerates every term combination (and every signed
-    measurement branch inside a fragment), reproducing the uncut expectation
-    to numerical precision.  ``mode="shots"`` draws ``shots`` term
-    combinations from the |coefficient| distribution and stochastically
-    collapses the measure-and-reprepare channels; the estimator is unbiased
-    with variance governed by ``plan.total_overhead``.
+    ``mode="exact"`` covers every term combination (and every signed
+    measurement branch inside a fragment) in one lockstep run per fragment,
+    reproducing the uncut expectation to numerical precision.
+    ``mode="shots"`` draws ``shots`` term combinations from the
+    |coefficient| distribution and stochastically collapses the
+    measure-and-reprepare channels; the estimator is unbiased with variance
+    governed by ``plan.total_overhead``.
     """
     if circuit.n_qubits != plan.n_qubits:
         raise KnitError("plan was built for a different circuit width")
@@ -505,21 +517,17 @@ def knit_execute(
     split, left_strings, right_strings = _split_observable(observable, plan)
 
     if mode == "exact":
-        contributions = []
-        total = 0.0
-        term_counts = [len(d.terms) for d in plan.decompositions]
-        for combo in itertools.product(*(range(c) for c in term_counts)):
-            weight = 1.0
-            for ordinal, t in enumerate(combo):
-                weight *= plan.decompositions[ordinal].terms[t].coefficient
-            lb = _run_branches(left_prog, n_left, plan, combo, "left")
-            rb = _run_branches(right_prog, n_right, plan, combo, "right")
-            le = _branch_expectations(lb, left_strings)
-            re_ = _branch_expectations(rb, right_strings)
-            contrib = weight * sum(c * le[a] * re_[b] for c, a, b in split)
-            contributions.append(contrib)
-            total += contrib
-        return KnitResult(total, tuple(contributions), plan.total_overhead)
+        left, left_ix = _fragment_values(left_prog, n_left, plan, "left", left_strings)
+        right, right_ix = _fragment_values(right_prog, n_right, plan, "right", right_strings)
+        # one axis per cut, so raveling gives itertools.product order
+        weight = np.ones(())
+        for dec in plan.decompositions:
+            weight = np.multiply.outer(weight, [t.coefficient for t in dec.terms])
+        acc = 0
+        for c, a, b in split:
+            acc = acc + c * left[a][left_ix] * right[b][right_ix]
+        contributions = np.ravel(weight * acc).tolist()
+        return KnitResult(sum(contributions), tuple(contributions), plan.total_overhead)
 
     if mode != "shots":
         raise KnitError(f"unknown mode {mode!r}")
@@ -655,33 +663,19 @@ class SpinChainSpec:
             raise KnitError("spec has neither full arrays nor a disorder law")
         rng = np.random.default_rng(self.disorder.seed if seed is None else seed)
         d = self.disorder
-        j = self.couplings or tuple(
-            rng.uniform(*d.coupling_range, size=self.n_qubits - 1)
-        )
-        hx = self.transverse or tuple(
-            rng.uniform(*d.transverse_range, size=self.n_qubits)
-        )
-        gz = self.longitudinal or tuple(
-            rng.uniform(*d.longitudinal_range, size=self.n_qubits)
-        )
+        j = self.couplings or tuple(rng.uniform(*d.coupling_range, size=self.n_qubits - 1))
+        hx = self.transverse or tuple(rng.uniform(*d.transverse_range, size=self.n_qubits))
+        gz = self.longitudinal or tuple(rng.uniform(*d.longitudinal_range, size=self.n_qubits))
         return SpinChainSpec(
             self.n_qubits, self.total_time, self.steps,
             couplings=tuple(j), transverse=tuple(hx), longitudinal=tuple(gz),
         )
 
     def to_dict(self) -> dict:
-        out = {
-            "n_qubits": self.n_qubits,
-            "t": self.total_time,
-            "steps": self.steps,
-        }
-        for name, arr in (
-            ("couplings", self.couplings),
-            ("transverse", self.transverse),
-            ("longitudinal", self.longitudinal),
-        ):
-            if arr is not None:
-                out[name] = list(arr)
+        out = {"n_qubits": self.n_qubits, "t": self.total_time, "steps": self.steps}
+        for name in ("couplings", "transverse", "longitudinal"):
+            if getattr(self, name) is not None:
+                out[name] = list(getattr(self, name))
         if self.disorder is not None:
             d = self.disorder
             out["disorder"] = {

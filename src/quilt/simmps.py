@@ -4,8 +4,10 @@ States are stored as a train of rank-3 site tensors (left-bond, physical-2,
 right-bond) with a tracked orthogonality center.  Two-qubit gates contract
 the neighboring pair, apply the gate, and split back with an SVD truncated
 to ``chi_max`` / ``trunc_tol``; non-adjacent gates are routed with inserted
-SWAPs (counted per state).  Bond spectra are refreshed by a full
-canonicalization sweep, so the per-bond entanglement entropy
+SWAPs (counted per state).  The SVD of a two-qubit gate, taken at the
+orthogonality center, gives its bond's exact spectrum and leaves every other
+bond's unchanged unless it truncates; after a truncation a full
+canonicalization sweep refreshes them all.  The per-bond entanglement entropy
 
     S_k = -sum_i s_i^2 log2 s_i^2        (bits)
 
@@ -34,7 +36,7 @@ class MpsState:
     """Mutable MPS owned by a single evolution at a time.
 
     Attributes of interest: ``bond_spectra`` (descending Schmidt values per
-    interior bond, refreshed by :meth:`refresh_spectra`),
+    interior bond, exact after :meth:`entropies`),
     ``discarded_weight`` (cumulative truncated probability) and
     ``swaps_inserted`` (routing cost of non-adjacent gates).
     """
@@ -56,6 +58,7 @@ class MpsState:
             self.site_tensors.append(t)
         self.bond_spectra = [np.array([1.0]) for _ in range(n_qubits - 1)]
         self.center = 0
+        self._spectra_stale = False
         self.discarded_weight = 0.0
         self.swaps_inserted = 0
 
@@ -114,6 +117,8 @@ class MpsState:
         l, _, _, r = theta.shape
         u, svals, vh = np.linalg.svd(theta.reshape(l * 2, 2 * r), full_matrices=False)
         keep = self._truncation_rank(svals)
+        if keep < len(svals):  # the state changed, so may every other bond
+            self._spectra_stale = True
         dropped = float(np.sum(svals[keep:] ** 2))
         self.discarded_weight += dropped
         svals = svals[:keep]
@@ -157,6 +162,7 @@ class MpsState:
                 "kr,rpm->kpm", svals[:, None] * vh, nxt
             )
             self.center = i + 1
+        self._spectra_stale = False
 
     def amplitudes(self) -> np.ndarray:
         """Dense statevector (little-endian), guarded to 20 qubits."""
@@ -176,7 +182,8 @@ class MpsState:
         return vec
 
     def entropies(self) -> np.ndarray:
-        self.refresh_spectra()
+        if self._spectra_stale:
+            self.refresh_spectra()
         out = np.empty(self.n_qubits - 1)
         for k, svals in enumerate(self.bond_spectra):
             p = svals**2

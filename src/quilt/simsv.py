@@ -152,6 +152,26 @@ def _parity_signs(n_qubits: int, z_mask: int) -> np.ndarray:
     return signs
 
 
+def _diagonal_phase(gates, n_qubits: int) -> np.ndarray | None:
+    """Product of the phase vectors of bound diagonal ``gates``
+    (Z/S/SDG/T/RZ/RZZ/CZ) over all 2**n_qubits basis indices, or None for
+    no gates: multiplying amplitudes by it applies the whole run."""
+    fixed = None
+    for g in gates:
+        # (-1)**(parity of g's qubits in i): Z, or ZZ for a 2q gate
+        z = _parity_signs(n_qubits, sum(1 << q for q in g.qubits))
+        if g.kind in _DIAG_1Q:
+            p0, p1 = _DIAG_1Q[g.kind]
+            phase = np.where(z < 0, p1, p0)
+        elif g.kind is GateKind.CZ:  # -1 only where both bits are set
+            a, b = (_parity_signs(n_qubits, 1 << q) for q in g.qubits)
+            phase = 0.5 * (1.0 + a + b - z)
+        else:  # RZ / RZZ: exp(-i t/2 * Z...Z)
+            phase = np.exp(-0.5j * g.param * z)
+        fixed = phase.astype(np.complex128) if fixed is None else fixed * phase
+    return fixed
+
+
 class _Lowered:
     """A parametric circuit compiled for repeated evaluation.
 
@@ -189,25 +209,14 @@ class _Lowered:
         if all(g.is_bound for g in run):
             self.ops.extend(("gate", g) for g in run)
             return
-        fixed = None
         generators: dict[str, np.ndarray] = {}
         for g in run:
-            # (-1)**(parity of g's qubits in i): Z, or ZZ for a 2q gate
-            z = _parity_signs(n_qubits, sum(1 << q for q in g.qubits))
-            if g.kind in _DIAG_1Q:
-                p0, p1 = _DIAG_1Q[g.kind]
-                phase = np.where(z < 0, p1, p0)
-            elif g.kind is GateKind.CZ:  # -1 only where both bits are set
-                a, b = (_parity_signs(n_qubits, 1 << q) for q in g.qubits)
-                phase = 0.5 * (1.0 + a + b - z)
-            elif g.is_bound:  # RZ / RZZ: exp(-i t/2 * Z...Z)
-                phase = np.exp(-0.5j * g.param * z)
-            else:
-                term = g.param_scale * z
-                prev = generators.get(g.param)
-                generators[g.param] = term if prev is None else prev + term
+            if g.is_bound:
                 continue
-            fixed = phase.astype(np.complex128) if fixed is None else fixed * phase
+            term = g.param_scale * _parity_signs(n_qubits, sum(1 << q for q in g.qubits))
+            prev = generators.get(g.param)
+            generators[g.param] = term if prev is None else prev + term
+        fixed = _diagonal_phase([g for g in run if g.is_bound], n_qubits)
         self.ops.append(("diagonal", fixed, tuple(generators.items())))
 
     def run(self, values: Mapping[str, float], initial: StateVector | None) -> np.ndarray:
@@ -276,8 +285,16 @@ def string_expectation(amps: np.ndarray, string: PauliString) -> complex:
     Evaluates ``sum_i conj(psi[i ^ x]) (-1)**|i & z| i**n_y psi[i]`` from
     the string's bit masks (:attr:`PauliString.masks`); the amplitudes
     need not be normalized, and the imaginary part is returned unchecked.
+    A 2-D ``amps`` is a batch of states, one per row, and gives one value
+    per row.
     """
     shape, flip, signs, phase = _string_layout(string)
+    if amps.ndim == 2:
+        psi = amps.reshape((len(amps),) + shape)
+        bra = psi[(slice(None),) + flip].conj()
+        if signs is not None:
+            bra *= signs
+        return phase * (bra * psi).reshape(len(amps), -1).sum(axis=1)
     psi = amps.reshape(shape)
     if signs is None:
         return np.vdot(psi[flip], psi)
@@ -311,7 +328,11 @@ def _observable_split(obs: PauliSum, n_qubits: int) -> tuple:
 
 
 def expectation(state: StateVector, obs: PauliSum) -> float:
-    """<psi| obs |psi> as a real number (imaginary residue checked < 1e-10)."""
+    """<psi| obs |psi> as a real number.
+
+    The imaginary residue must stay below ``1e-10 * max(1, sum|c| * |psi|^2)``,
+    so rounding on large weights or norms is not mistaken for a bad input.
+    """
     if obs.num_qubits is not None and obs.num_qubits != state.n_qubits:
         raise SimulationError(
             f"observable width {obs.num_qubits} does not match state "
@@ -324,7 +345,9 @@ def expectation(state: StateVector, obs: PauliSum) -> float:
         value += np.dot(amps.real**2, diagonal) + np.dot(amps.imag**2, diagonal)
     for coeff, string in rest:
         value += coeff * string_expectation(amps, string)
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > 1e-10 and abs(value.imag) > 1e-10 * max(
+        1.0, sum(abs(c) for c, _ in obs.terms) * float(np.vdot(amps, amps).real)
+    ):
         raise SimulationError(f"expectation has imaginary residue {value.imag:g}")
     return float(value.real)
 

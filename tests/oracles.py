@@ -3,16 +3,20 @@
 Everything here is built from first principles (kron chains over
 hand-written 2x2 matrices) so it never reuses the simulator kernels it is
 meant to check.  Qubit 0 is the least-significant bit of a basis index.
-The scheduler reference at the end keeps the per-policy scan loops that
+The references at the end keep the loops that faster code replaced: the
+one-combination-at-a-time knitting loop that ``knit.knit_execute``'s
+lockstep engine replaced, and the per-policy scan loops that
 ``sched.schedule`` replaced with one event loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
 
+from quilt.circuit import Gate, GateKind, PauliString
 from quilt.dispatch.sched import (
     JobBlock,
     Placement,
@@ -20,6 +24,14 @@ from quilt.dispatch.sched import (
     ScheduleError,
     ScheduleMetrics,
 )
+from quilt.knit import (
+    _MEAS_ROTATION,
+    CutPlan,
+    KnitResult,
+    _fragment_programs,
+    _split_observable,
+)
+from quilt.simsv import _apply_gate, string_expectation
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -227,6 +239,86 @@ def random_circuit(rng, n_qubits, n_gates, nearest_neighbor=False, parametric=Fa
             else:
                 gates.append(cir.Gate(cir.GateKind(kind), (a, b)))
     return cir.Circuit(n_qubits, tuple(gates))
+
+
+# The knitting reference: every term combination run on its own, one
+# statevector per signed measurement branch (``knit_execute``'s exact mode
+# before it ran all combinations of a fragment as one batch).
+
+
+def _project(amps: np.ndarray, q: int, bit: int) -> np.ndarray:
+    out = amps.copy()
+    view = out.reshape(-1, 2, 1 << q)
+    view[:, 1 - bit, :] = 0.0
+    return out
+
+
+def _run_branches(prog, n_frag: int, plan: CutPlan, combo, side: str):
+    """Evaluate one fragment with signed branch expansion over measurements.
+
+    Returns [(sign, unnormalized amplitudes)] covering the term channels.
+    """
+    amps = np.zeros(1 << n_frag, dtype=np.complex128)
+    amps[0] = 1.0
+    branches = [(1.0, amps)]
+    for item in prog:
+        if item[0] == "gate":
+            for _, a in branches:
+                _apply_gate(a, item[1])
+            continue
+        _, ordinal, q = item
+        term = plan.decompositions[ordinal].terms[combo[ordinal]]
+        ops = term.left_ops if side == "left" else term.right_ops
+        meas = term.left_meas if side == "left" else term.right_meas
+        for op in ops:
+            g = op.gate(q)
+            for _, a in branches:
+                _apply_gate(a, g)
+        if meas is not None:
+            v = _MEAS_ROTATION[meas]
+            rot = Gate(GateKind.UNITARY, (q,), matrix=v)
+            rot_back = Gate(GateKind.UNITARY, (q,), matrix=v.conj().T)
+            new_branches = []
+            for sign, a in branches:
+                _apply_gate(a, rot)
+                for bit in (0, 1):
+                    proj = _project(a, q, bit)
+                    _apply_gate(proj, rot_back)
+                    new_branches.append((sign if bit == 0 else -sign, proj))
+            branches = new_branches
+    return branches
+
+
+def _branch_expectations(branches, strings: dict[str, PauliString]):
+    return {
+        key: sum(sign * string_expectation(amps, ps).real for sign, amps in branches)
+        for key, ps in strings.items()
+    }
+
+
+def reference_knit_exact(circuit, plan, observable) -> KnitResult:
+    """``knit_execute(circuit, plan, observable, mode="exact")``, one
+    combination at a time."""
+    n_left = plan.cut_bond + 1
+    n_right = circuit.n_qubits - n_left
+    left_prog, right_prog = _fragment_programs(circuit, plan)
+    split, left_strings, right_strings = _split_observable(observable, plan)
+
+    contributions = []
+    total = 0.0
+    term_counts = [len(d.terms) for d in plan.decompositions]
+    for combo in itertools.product(*(range(c) for c in term_counts)):
+        weight = 1.0
+        for ordinal, t in enumerate(combo):
+            weight *= plan.decompositions[ordinal].terms[t].coefficient
+        lb = _run_branches(left_prog, n_left, plan, combo, "left")
+        rb = _run_branches(right_prog, n_right, plan, combo, "right")
+        le = _branch_expectations(lb, left_strings)
+        re_ = _branch_expectations(rb, right_strings)
+        contrib = weight * sum(c * le[a] * re_[b] for c, a, b in split)
+        contributions.append(contrib)
+        total += contrib
+    return KnitResult(total, tuple(contributions), plan.total_overhead)
 
 
 # The list scheduler's reference: one FIFO scan loop per policy, which

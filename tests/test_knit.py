@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quilt.circuit import Circuit, PauliSum, cx, cz, h, ry, rzz, unitary
+from quilt import knit
+from quilt.circuit import Circuit, PauliSum, cx, cz, h, rx, ry, rzz, unitary
 from quilt.knit import (
     CutGateDecomposition,
     KnitError,
@@ -19,7 +22,17 @@ from quilt.knit import (
 from quilt.simmps import entropy_profile
 from quilt.simsv import expectation, simulate
 
-from oracles import P2, H2, S2, SDG2, gate_full, pauli_matrix, rx2
+from oracles import (
+    P2,
+    H2,
+    S2,
+    SDG2,
+    gate_full,
+    pauli_matrix,
+    random_circuit,
+    reference_knit_exact,
+    rx2,
+)
 
 
 # -- decompositions -----------------------------------------------------------
@@ -142,6 +155,37 @@ def test_mirrored_decomposition_keeps_channel_identity():
         mirrored = decompose_cut_gate(g).mirrored()
         assert channel_residual(mirrored) < 1e-8
         assert abs(mirrored.gamma - decompose_cut_gate(g).gamma) < 1e-12
+
+
+def _cut_gate_decompositions():
+    gates = [rzz(0, 1, float(t)) for t in np.linspace(-np.pi, np.pi, 17)] + [cx(0, 1), cz(0, 1)]
+    for g in gates:
+        yield decompose_cut_gate(g)
+        yield decompose_cut_gate(g).mirrored()
+
+
+def test_channel_residual_matches_independent_check():
+    for dec in _cut_gate_decompositions():
+        # the oracle embeds the original on its qubits; a mirror's matrix is
+        # already in (left, right) order, so hand it over on qubits (0, 1)
+        local = dataclasses.replace(dec, original=unitary((0, 1), dec.original.unitary()))
+        assert abs(channel_residual(dec) - independent_channel_residual(local)) <= 1e-12
+
+
+def test_perturbed_decomposition_fails_channel_check():
+    for dec in _cut_gate_decompositions():
+        if len(dec.terms) < 2:
+            continue
+        first = dec.terms[0]
+        nudged = dataclasses.replace(first, coefficient=first.coefficient + 1e-6)
+        with pytest.raises(KnitError, match="channel-identity"):
+            knit._finish(dec.original, (nudged,) + dec.terms[1:])
+        # the same coefficients with two terms' sides exchanged
+        swapped = dataclasses.replace(first, left_ops=dec.terms[1].left_ops,
+                                      left_meas=dec.terms[1].left_meas)
+        if (swapped.left_ops, swapped.left_meas) != (first.left_ops, first.left_meas):
+            with pytest.raises(KnitError, match="channel-identity"):
+                knit._finish(dec.original, (swapped,) + dec.terms[1:])
 
 
 # -- plans ---------------------------------------------------------------------
@@ -284,6 +328,83 @@ def test_random_single_cut_circuits_exact(n_cases=15):
         res = knit_execute(c, plan, obs)
         ref = expectation(simulate(c), obs)
         assert abs(res.value - ref) < 1e-8
+
+
+def _random_pauli_sum(rng, n, n_terms=3):
+    return PauliSum([(float(rng.uniform(-1.5, 1.5)), "".join(rng.choice(list("IXYZ"), size=n)))
+                     for _ in range(n_terms)])
+
+
+def _lockstep_cases():
+    """~40 random nearest-neighbour circuits cut with 0-3 RZZ/CX/CZ gates,
+    half of them with a random 2-qubit unitary inside a fragment."""
+    rng = np.random.default_rng(77)
+    cases = []
+    for i in range(40):
+        n = int(rng.integers(2, 8))
+        c = random_circuit(rng, n, int(rng.integers(10, 30)), nearest_neighbor=True)
+        bond = int(rng.integers(0, n - 1))
+        crossing = [j for j, g in enumerate(c.gates)
+                    if len(g.qubits) == 2 and min(g.qubits) <= bond < max(g.qubits)]
+        drop = set(crossing[i % 4:])
+        gates = [g for j, g in enumerate(c.gates) if j not in drop]
+        if i % 2 and max(bond + 1, n - bond - 1) >= 2:
+            lo = 0 if bond >= 1 else bond + 1
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            gates.insert(int(rng.integers(0, len(gates) + 1)), unitary((lo + 1, lo), q))
+        cases.append((Circuit(n, tuple(gates)), bond, _random_pauli_sum(rng, n)))
+    return cases
+
+
+@pytest.mark.parametrize("batch_amps", [None, 48])
+def test_lockstep_knit_matches_reference(monkeypatch, batch_amps):
+    fill = []  # each batch's amplitudes over the cap (or one row, if larger)
+    if batch_amps is not None:  # every batch past the cap goes on one piece at a time
+        monkeypatch.setattr(knit, "_BATCH_AMPS", batch_amps)
+        run = knit._run_lockstep
+
+        def recording(ops, amps, *rest):
+            fill.append(amps.size / max(batch_amps, amps.shape[1]))
+            return run(ops, amps, *rest)
+
+        monkeypatch.setattr(knit, "_run_lockstep", recording)
+    seen = {"mirrored": 0, "unitary": 0, "cuts": set(), "kinds": set()}
+    for c, bond, obs in _lockstep_cases():
+        plan = plan_cut(c, bond)
+        want = reference_knit_exact(c, plan, obs)
+        got = knit_execute(c, plan, obs)
+        assert len(got.per_term_values) == len(want.per_term_values)
+        assert np.max(np.abs(np.subtract(got.per_term_values, want.per_term_values))) <= 1e-12
+        assert abs(got.value - want.value) <= 1e-12
+        seen["cuts"].add(len(plan.cut_gates))
+        seen["kinds"].update(c.gates[i].kind.value for i in plan.cut_gates)
+        seen["mirrored"] += sum(c.gates[i].qubits[0] > bond for i in plan.cut_gates)
+        seen["unitary"] += any(g.kind.value == "unitary" for g in c.gates)
+    assert seen["cuts"] == {0, 1, 2, 3}
+    assert seen["kinds"] == {"rzz", "cx", "cz"}
+    assert seen["mirrored"] > 0 and seen["unitary"] > 0
+    if batch_amps is not None:
+        assert fill and max(fill) <= 1.0
+        assert min(fill) < 1.0  # some slots still formed one batch
+
+
+@pytest.mark.parametrize("n_cuts", [4, 5])
+def test_exact_knit_four_and_five_cuts(n_cuts):
+    rng = np.random.default_rng(n_cuts)
+    n, bond = 6, 2
+    cut_kinds = [rzz(2, 3, 0.7), cx(3, 2), cz(2, 3), cx(2, 3), rzz(3, 2, -1.9)]
+    gates = [ry(q, float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+    for k in range(n_cuts):
+        gates.append(cut_kinds[k])
+        gates += [rx(2, float(rng.uniform(-np.pi, np.pi))), ry(3, float(rng.uniform(-np.pi, np.pi))),
+                  cx(1, 2), rzz(3, 4, float(rng.uniform(-np.pi, np.pi)))]
+    c = Circuit(n, tuple(gates))
+    plan = plan_cut(c, bond)
+    assert len(plan.cut_gates) == n_cuts
+    obs = PauliSum([(1.0, "ZIXYIZ"), (0.5, "IIZZII"), (-0.75, "XYIIZX")])
+    res = knit_execute(c, plan, obs)
+    assert len(res.per_term_values) == 6**n_cuts
+    assert abs(res.value - expectation(simulate(c), obs)) <= 1e-9
 
 
 def test_knit_rejects_mismatched_plan_and_observable():

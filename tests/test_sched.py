@@ -48,6 +48,15 @@ def test_block_validation():
         split_job([], job_index=1)
 
 
+def test_job_block_rejects_non_integer_durations():
+    for bad in (2.5, True, np.True_, np.float64(1.5), "3", None):
+        with pytest.raises(ScheduleError, match="tick count"):
+            JobBlock("J_1_1", 1, 1, "quantum", bad)
+    for good in (2, np.int64(2), 2.0):
+        block = JobBlock("J_1_1", 1, 1, "quantum", good)
+        assert block.duration == 2 and type(block.duration) is int
+
+
 def test_cycle_detected():
     blocks = [
         JobBlock("J_1_1", 1, 1, "classical", 1, deps=("J_1_2",)),

@@ -167,3 +167,43 @@ def test_profile_csv_roundtrip_shape():
 def test_chi_validation():
     with pytest.raises(MpsError):
         MpsState(3, chi_max=0)
+
+
+_cached_entropies = MpsState.entropies
+
+
+def _forced_refresh_entropies(state):
+    state.refresh_spectra()
+    return _cached_entropies(state)
+
+
+@pytest.mark.parametrize("chi_max,trunc_tol", [(None, 0.0), (2, 0.0), (3, 1e-3)])
+def test_cached_entropies_match_forced_refresh(chi_max, trunc_tol):
+    from quilt.simmps import _apply_gate
+
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        c = random_circuit(rng, n, 40, nearest_neighbor=bool(rng.integers(2)))
+        state = MpsState(n, chi_max=chi_max, trunc_tol=trunc_tol)
+        for k, gate in enumerate(c.gates):
+            _apply_gate(state, gate, True)
+            if k % 5 == 4:
+                cached = state.entropies()
+                assert np.max(np.abs(cached - _forced_refresh_entropies(state))) <= 1e-12
+
+
+def test_overhead_reduction_bond_unchanged_by_forced_refresh(monkeypatch):
+    from quilt.knit import DisorderSpec, SpinChainSpec, build_spinchain_circuit, overhead_reduction
+
+    chains = []
+    for seed in range(200):
+        n, steps = 4 + seed % 5, 1 + seed % 2
+        spec = SpinChainSpec(n, 1.0, steps, disorder=DisorderSpec((0.0, 1.2), (0.2, 0.8),
+                                                                  (0.0, 0.4), seed))
+        chains.append(build_spinchain_circuit(spec.realize()))
+    chi = [None, 2]
+    cached = [overhead_reduction(c, chi_max=chi[i % 2]).cut_bond for i, c in enumerate(chains)]
+    monkeypatch.setattr(MpsState, "entropies", _forced_refresh_entropies)
+    forced = [overhead_reduction(c, chi_max=chi[i % 2]).cut_bond for i, c in enumerate(chains)]
+    assert cached == forced

@@ -349,3 +349,42 @@ def test_expectation_rejects_forced_complex_residue(monkeypatch):
     monkeypatch.setattr(simsv, "string_expectation", lambda amps, string: 0.5 + 1e-6j)
     with pytest.raises(SimulationError, match="imaginary residue"):
         expectation(st, PauliSum([(1.0, "XZ")]))
+
+
+def test_batched_string_expectation_matches_rows():
+    from quilt.circuit import PauliString
+    from quilt.simsv import string_expectation
+
+    rng = np.random.default_rng(31)
+    for rows in (1, 3, 5, 7):
+        n = int(rng.integers(1, 7))
+        batch = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+        string = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
+        got = string_expectation(batch, string)
+        assert got.shape == (rows,)
+        for row, value in zip(batch, got):
+            assert abs(value - string_expectation(row, string)) <= 1e-12 * max(1.0, abs(value))
+
+
+def test_expectation_residue_bound_scales_with_weight(monkeypatch):
+    from oracles import pauli_matrix
+    from quilt import simsv
+
+    rng = np.random.default_rng(8)
+    strings = ["".join(rng.choice(list("XYZ"), size=10)) for _ in range(4)]
+    dense = {ops: pauli_matrix(ops) for s in strings for ops in (s, s[::-1])}
+    for weight in 10.0 ** np.arange(-8, 9, 2):
+        for ops in strings:
+            st = _random_state(rng, 10)
+            value = expectation(st, PauliSum([(weight, ops), (-0.5 * weight, ops[::-1])]))
+            ref = weight * (np.vdot(st.amps, dense[ops] @ st.amps)
+                            - 0.5 * np.vdot(st.amps, dense[ops[::-1]] @ st.amps)).real
+            assert abs(value - ref) <= 1e-12 * weight
+    # a residue above the scaled bound still raises, and one below it passes
+    st = _random_state(rng, 3)
+    obs = PauliSum([(1e8, "XYZ")])
+    monkeypatch.setattr(simsv, "string_expectation", lambda amps, string: 0.5 + 1e-3j)
+    with pytest.raises(SimulationError, match="imaginary residue"):
+        expectation(st, obs)
+    monkeypatch.setattr(simsv, "string_expectation", lambda amps, string: 0.5 + 1e-11j)
+    assert expectation(st, obs) == pytest.approx(0.5e8)
