@@ -19,7 +19,9 @@ values.
 A third table gives exact-mode knit term combinations per second on 12-site
 Ising chains cut at the balanced bond, with 2, 3 and 4 Trotter steps (one
 cut RZZ per step: 36, 216 and 1296 combinations), after checking each
-knitted value against the uncut ``simulate``.
+knitted value against the uncut ``simulate``.  On the same chains it gives
+shots-mode shots per second, after checking that the mean of the shots lies
+within 5 standard errors of the uncut value.
 """
 
 import argparse
@@ -36,6 +38,7 @@ QAOA_SIZES = (6, 9, 12)
 QAOA_EVALS = 300
 KNIT_SITES = 12
 KNIT_CUTS = (2, 3, 4)
+KNIT_SHOTS = 2000
 
 
 def random_layers(rng, n_qubits: int, n_gates: int) -> Circuit:
@@ -97,9 +100,9 @@ def time_qaoa_objective(rng, n_nodes: int, evals: int) -> tuple[float, float]:
     return rates[0], rates[1]
 
 
-def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float]:
-    """(term combinations, exact-mode combinations per second) for one
-    ``n_cuts``-step chain."""
+def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float, float]:
+    """(term combinations, exact-mode combinations per second, shots-mode
+    shots per second) for one ``n_cuts``-step chain."""
     n = KNIT_SITES
     spec = knit.SpinChainSpec(
         n, 1.0, n_cuts,
@@ -115,12 +118,21 @@ def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float]:
     uncut = expectation(simulate(circuit), obs)
     if abs(result.value - uncut) > 1e-9:
         raise SystemExit(f"knitted value {result.value!r} differs from uncut {uncut!r}")
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        knit.knit_execute(circuit, plan, obs)
-        best = min(best, time.perf_counter() - start)
-    return len(result.per_term_values), len(result.per_term_values) / best
+    sampled = knit.knit_execute(circuit, plan, obs, mode="shots", shots=KNIT_SHOTS, seed=0)
+    sem = np.std(sampled.per_term_values, ddof=1) / np.sqrt(KNIT_SHOTS)
+    if abs(sampled.value - uncut) > 5 * sem:
+        raise SystemExit(f"shots mean {sampled.value!r} is more than 5 standard errors "
+                         f"({sem:.3g}) from uncut {uncut!r}")
+    seconds = []  # best of ``repeats``: exact, then shots
+    for kwargs in ({}, {"mode": "shots", "shots": KNIT_SHOTS, "seed": 0}):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            knit.knit_execute(circuit, plan, obs, **kwargs)
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+    combinations = len(result.per_term_values)
+    return combinations, combinations / seconds[0], KNIT_SHOTS / seconds[1]
 
 
 def main() -> None:
@@ -166,12 +178,12 @@ def main() -> None:
         bound, lowered = time_qaoa_objective(rng, n_nodes, QAOA_EVALS)
         print(f"{n_nodes:<8}{bound:>14.0f}{lowered:>17.0f}{lowered / bound:>8.1f}x")
 
-    print(f"\nExact knitting ({KNIT_SITES}-site chain, balanced cut, best of "
-          f"{args.repeats}, {kernels.active_backend()} kernels)")
-    print(f"{'cuts':<6}{'combinations':>13}{'combinations/s':>16}")
+    print(f"\nKnitting ({KNIT_SITES}-site chain, balanced cut, {KNIT_SHOTS} shots, "
+          f"best of {args.repeats}, {kernels.active_backend()} kernels)")
+    print(f"{'cuts':<6}{'combinations':>13}{'combinations/s':>16}{'shots/s':>10}")
     for n_cuts in KNIT_CUTS:
-        combinations, rate = time_knit(rng, n_cuts, args.repeats)
-        print(f"{n_cuts:<6}{combinations:>13}{rate:>16.0f}")
+        combinations, rate, shot_rate = time_knit(rng, n_cuts, args.repeats)
+        print(f"{n_cuts:<6}{combinations:>13}{rate:>16.0f}{shot_rate:>10.0f}")
 
 
 if __name__ == "__main__":

@@ -27,15 +27,26 @@ class _Job:
     done_event: threading.Event = field(default_factory=threading.Event)
 
 
+# Longest request line the server reads, newline included: 4 MiB holds the
+# QASM text of a circuit with ~10^5 gates.  A longer line gets an error reply
+# and its connection is closed, since the rest of that line cannot be told
+# apart from the next request; a client can never make the server buffer more.
+MAX_REQUEST_BYTES = 1 << 22
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         server: DispatchServer = self.server.dispatch  # type: ignore[attr-defined]
         while True:
             try:
-                line = self.rfile.readline()
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             except (ConnectionError, OSError):
                 return
             if not line:
+                return
+            if len(line) > MAX_REQUEST_BYTES:
+                self._send({"ok": False,
+                            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes"})
                 return
             if not line.strip():
                 continue
@@ -43,11 +54,16 @@ class _Handler(socketserver.StreamRequestHandler):
                 reply = server.handle_request_line(line)
             except Exception as exc:  # never let a request kill the connection
                 reply = {"ok": False, "error": f"internal error: {exc}"}
-            try:
-                self.wfile.write(encode_line(reply))
-                self.wfile.flush()
-            except (ConnectionError, OSError):
+            if not self._send(reply):
                 return
+
+    def _send(self, reply: dict) -> bool:
+        try:
+            self.wfile.write(encode_line(reply))
+            self.wfile.flush()
+        except (ConnectionError, OSError):
+            return False
+        return True
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):

@@ -11,10 +11,10 @@ factorizes across the cut.  The price is the sampling overhead
 gate ``i`` - for ``RZZ(theta)`` that is ``1 + 2|sin(theta)|``, for CX/CZ
 it is 3.
 
-Exact execution runs each fragment once, in lockstep, as one 2-D batch of
-states (one per row).  At each cut the rows fork once per distinct side
-option (5 per side for RZZ/CX/CZ; a signed measurement forks twice), so
-gates before a cut run once for all combinations sharing that prefix.
+Both modes run each fragment once, compiled, as a 2-D batch of states (one
+per row).  Exact mode forks the rows at each cut once per distinct side
+option (5 per side for RZZ/CX/CZ; a signed measurement twice), so gates
+before a cut run once per shared prefix.  Shots mode gives each shot a row.
 
 Each decomposition is checked at construction time against the original
 gate's channel, ``sum_t c_t (R_t (x) L_t)`` against ``U (x) U*`` as 16x16
@@ -347,8 +347,8 @@ class KnitResult:
     """Reconstructed observable value.
 
     ``per_term_values``: in exact mode, one entry per term combination
-    (they sum to ``value``); in shots mode, one single-shot estimate per
-    sampled combination (their mean is ``value``).
+    (they sum to ``value``); in shots mode, one estimate per shot, each shot
+    a row of the same batch engine (their mean is ``value``).
     """
 
     value: float
@@ -412,33 +412,39 @@ def _compile_fragment(prog, n_frag: int) -> list[tuple]:
     return ops
 
 
+def _apply_op(op, amps) -> None:
+    """Apply one non-slot batch op to every row of ``amps``."""
+    if op[0] == "phase":
+        amps *= op[1]
+    elif op[0] == "single":
+        kernels.apply_single(amps.reshape(-1), op[1], op[2])
+    else:
+        for row in amps:
+            simsv._apply_gate(row, op[1])
+
+
 def _run_lockstep(ops, amps, seq, sign, pieces, strings, out) -> None:
     """Run ``ops`` on a batch of states (one per row); add each row's signed
     string expectations into ``out[string, seq[row]]``.  At a slot each row
     is copied once per piece of its cut: one batch while it holds at most
     ``_BATCH_AMPS`` amplitudes, else one batch per piece."""
     for i, op in enumerate(ops):
-        if op[0] == "phase":
-            amps *= op[1]
-        elif op[0] == "single":
-            kernels.apply_single(amps.reshape(-1), op[1], op[2])
-        elif op[0] == "rows":
-            for row in amps:
-                simsv._apply_gate(row, op[1])
-        elif op[0] == "slot":
-            _, ordinal, q = op
-            cut = pieces[ordinal]
-            rows = len(amps)
-            groups = [cut] if len(cut) * amps.size <= _BATCH_AMPS else [[p] for p in cut]
-            for group in groups:
-                batch = np.concatenate([amps] * len(group))
-                for k, (_, _, m) in enumerate(group):
-                    kernels.apply_single(batch[k * rows:(k + 1) * rows].reshape(-1), q, m)
-                _run_lockstep(ops[i + 1:], batch,
-                              np.concatenate([seq + shift for shift, _, _ in group]),
-                              np.concatenate([sign * s for _, s, _ in group]),
-                              pieces, strings, out)
-            return
+        if op[0] != "slot":
+            _apply_op(op, amps)
+            continue
+        _, ordinal, q = op
+        cut = pieces[ordinal]
+        rows = len(amps)
+        groups = [cut] if len(cut) * amps.size <= _BATCH_AMPS else [[p] for p in cut]
+        for group in groups:
+            batch = np.concatenate([amps] * len(group))
+            for k, (_, _, m) in enumerate(group):
+                kernels.apply_single(batch[k * rows:(k + 1) * rows].reshape(-1), q, m)
+            _run_lockstep(ops[i + 1:], batch,
+                          np.concatenate([seq + shift for shift, _, _ in group]),
+                          np.concatenate([sign * s for _, s, _ in group]),
+                          pieces, strings, out)
+        return
     for k, ps in enumerate(strings):
         values = simsv.string_expectation(amps, ps).real
         out[k] += np.bincount(seq, weights=sign * values, minlength=out.shape[1])
@@ -463,6 +469,50 @@ def _fragment_values(prog, n_frag: int, plan: CutPlan, side: str, strings):
     _run_lockstep(_compile_fragment(prog, n_frag), amps, np.zeros(1, dtype=np.intp),
                   np.ones(1), pieces, list(strings.values()), out)
     return {key: v.reshape(shape) for key, v in zip(strings, out)}, np.ix_(*index)
+
+
+def _collapse(amps, q: int, pieces, uniforms) -> np.ndarray:
+    """Apply one of its two ``pieces`` to each row at qubit ``q``, piece 0 when
+    ``uniform * (p0 + p1) < p0`` (``p_b``: the squared norm of piece b applied
+    to the row), renormalise, and return the pieces' signs (:func:`_side_pieces`)."""
+    view = amps.reshape(len(amps), -1, 2, 1 << q)
+    rho = np.einsum("rhil,rhjl->rij", view, view.conj())  # the qubit's reduced state
+    p = np.einsum("rbij,rjk,rbik->rb", pieces, rho, pieces.conj()).real
+    bit = (uniforms * p.sum(axis=1) >= p[:, 0]).astype(np.intp)
+    rows = np.arange(len(amps))
+    keep = pieces[rows, bit] / np.sqrt(p[rows, bit])[:, None, None]
+    view[...] = np.einsum("rij,rhjl->rhil", keep, view)
+    return 1.0 - 2.0 * bit
+
+
+def _sample_fragment(prog, n_frag: int, plan: CutPlan, side: str, strings,
+                     picks, uniforms):
+    """Per shot, each string's value and the outcome sign of one fragment,
+    run a row per shot in chunks of at most ``_BATCH_AMPS`` amplitudes (or
+    one row); at cut d a row applies term ``picks[d, shot]``."""
+    ops = _compile_fragment(prog, n_frag)
+    cuts = []  # per cut: each term's two pieces (an unmeasured side's second is 0)
+    for dec in plan.decompositions:
+        mats = np.zeros((len(dec.terms), 2, 2, 2), dtype=np.complex128)
+        for t, term in enumerate(dec.terms):
+            pieces = _side_pieces(getattr(term, f"{side}_ops"), getattr(term, f"{side}_meas"))
+            mats[t, :len(pieces)] = [m for _, m in pieces]
+        cuts.append(mats)
+    out, sign = np.empty((len(strings), len(uniforms))), np.ones(len(uniforms))
+    step = max(1, _BATCH_AMPS >> n_frag)
+    for lo in range(0, len(uniforms), step):
+        chunk = slice(lo, lo + step)
+        amps = np.zeros((len(sign[chunk]), 1 << n_frag), dtype=np.complex128)
+        amps[:, 0] = 1.0
+        for op in ops:
+            if op[0] == "slot":
+                _, d, q = op
+                sign[chunk] *= _collapse(amps, q, cuts[d][picks[d, chunk]], uniforms[chunk, d])
+            else:
+                _apply_op(op, amps)
+        for k, ps in enumerate(strings.values()):
+            out[k, chunk] = simsv.string_expectation(amps, ps).real
+    return dict(zip(strings, out)), sign
 
 
 def _split_observable(observable: PauliSum, plan: CutPlan):
@@ -500,10 +550,10 @@ def knit_execute(
     ``mode="exact"`` covers every term combination (and every signed
     measurement branch inside a fragment) in one lockstep run per fragment,
     reproducing the uncut expectation to numerical precision.
-    ``mode="shots"`` draws ``shots`` term combinations from the
-    |coefficient| distribution and stochastically collapses the
-    measure-and-reprepare channels; the estimator is unbiased with variance
-    governed by ``plan.total_overhead``.
+    ``mode="shots"`` draws ``shots`` (an integer >= 1) term combinations
+    from the |coefficient| distribution and stochastically collapses the
+    measure-and-reprepare channels, one batch row per shot; the estimator
+    is unbiased with variance governed by ``plan.total_overhead``.
     """
     if circuit.n_qubits != plan.n_qubits:
         raise KnitError("plan was built for a different circuit width")
@@ -523,82 +573,30 @@ def knit_execute(
         weight = np.ones(())
         for dec in plan.decompositions:
             weight = np.multiply.outer(weight, [t.coefficient for t in dec.terms])
-        acc = 0
-        for c, a, b in split:
-            acc = acc + c * left[a][left_ix] * right[b][right_ix]
+        acc = sum(c * left[a][left_ix] * right[b][right_ix] for c, a, b in split)
         contributions = np.ravel(weight * acc).tolist()
         return KnitResult(sum(contributions), tuple(contributions), plan.total_overhead)
 
     if mode != "shots":
         raise KnitError(f"unknown mode {mode!r}")
-    if not shots or shots < 1:
-        raise KnitError("shots mode requires shots >= 1")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise KnitError(f"shots mode requires an integer shots >= 1, got {shots!r}")
     rng = np.random.default_rng(seed)
-    gamma_total = 1.0
-    samplers = []
-    for dec in plan.decompositions:
-        gamma_total *= dec.gamma
+    picks = np.zeros((len(plan.decompositions), shots), dtype=np.intp)
+    weight = np.ones(shots)  # gamma product times the sampled coefficients' signs
+    for d, dec in enumerate(plan.decompositions):
         coeffs = np.array([t.coefficient for t in dec.terms])
-        samplers.append((np.abs(coeffs) / dec.gamma, np.sign(coeffs)))
-    estimates = []
-    for _ in range(shots):
-        combo = []
-        sign = 1.0
-        for probs, signs in samplers:
-            t = int(rng.choice(len(probs), p=probs))
-            combo.append(t)
-            sign *= signs[t]
-        combo = tuple(combo)
-        le, lsign = _run_trajectory(left_prog, n_left, plan, combo, "left",
-                                    left_strings, rng)
-        re_, rsign = _run_trajectory(right_prog, n_right, plan, combo, "right",
-                                     right_strings, rng)
-        est = gamma_total * sign * lsign * rsign * sum(
-            c * le[a] * re_[b] for c, a, b in split
-        )
-        estimates.append(est)
-    return KnitResult(
-        float(np.mean(estimates)), tuple(estimates), plan.total_overhead
-    )
-
-
-def _run_trajectory(prog, n_frag, plan, combo, side, strings, rng):
-    """Single stochastic pass through a fragment: measurement channels collapse
-    with Born probabilities and contribute outcome signs."""
-    amps = np.zeros(1 << n_frag, dtype=np.complex128)
-    amps[0] = 1.0
-    sign = 1.0
-    for item in prog:
-        if item[0] == "gate":
-            simsv._apply_gate(amps, item[1])
-            continue
-        _, ordinal, q = item
-        term = plan.decompositions[ordinal].terms[combo[ordinal]]
-        ops = term.left_ops if side == "left" else term.right_ops
-        meas = term.left_meas if side == "left" else term.right_meas
-        for op in ops:
-            simsv._apply_gate(amps, op.gate(q))
-        if meas is not None:
-            v = _MEAS_ROTATION[meas]
-            simsv._apply_gate(amps, Gate(GateKind.UNITARY, (q,), matrix=v))
-            view = amps.reshape(-1, 2, 1 << q)
-            p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
-            bit = 0 if rng.random() < p0 else 1
-            view[:, 1 - bit, :] = 0.0
-            norm = np.linalg.norm(amps)
-            if norm > 0:
-                amps /= norm
-            if bit == 1:
-                sign = -sign
-            simsv._apply_gate(amps, Gate(GateKind.UNITARY, (q,), matrix=v.conj().T))
-    state = simsv.StateVector(n_frag, amps)
-    values = {}
-    for key, ps in strings.items():
-        if ps.is_identity:
-            values[key] = 1.0
-        else:
-            values[key] = simsv.expectation(state, PauliSum([(1.0, ps)]))
-    return values, sign
+        picks[d] = rng.choice(len(coeffs), size=shots, p=np.abs(coeffs) / dec.gamma)
+        weight *= dec.gamma * np.sign(coeffs)[picks[d]]
+    # one per (shot, cut, side), all drawn before any row runs: chunking changes no result
+    uniforms = rng.random((shots, len(plan.decompositions), 2))
+    left, lsign = _sample_fragment(left_prog, n_left, plan, "left", left_strings,
+                                   picks, uniforms[:, :, 0])
+    right, rsign = _sample_fragment(right_prog, n_right, plan, "right", right_strings,
+                                    picks, uniforms[:, :, 1])
+    acc = sum(c * left[a] * right[b] for c, a, b in split)
+    estimates = (weight * lsign * rsign * acc).tolist()
+    return KnitResult(float(np.mean(estimates)), tuple(estimates), plan.total_overhead)
 
 
 # ---------------------------------------------------------------------------

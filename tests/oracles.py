@@ -4,9 +4,9 @@ Everything here is built from first principles (kron chains over
 hand-written 2x2 matrices) so it never reuses the simulator kernels it is
 meant to check.  Qubit 0 is the least-significant bit of a basis index.
 The references at the end keep the loops that faster code replaced: the
-one-combination-at-a-time knitting loop that ``knit.knit_execute``'s
-lockstep engine replaced, and the per-policy scan loops that
-``sched.schedule`` replaced with one event loop.
+one-combination-at-a-time knitting loop and the one-shot-at-a-time
+trajectory loop that ``knit.knit_execute``'s batch engine replaced, and the
+per-policy scan loops that ``sched.schedule`` replaced with one event loop.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from quilt.circuit import Gate, GateKind, PauliString
+from quilt import simsv
+from quilt.circuit import Gate, GateKind, PauliString, PauliSum
 from quilt.dispatch.sched import (
     JobBlock,
     Placement,
@@ -319,6 +320,87 @@ def reference_knit_exact(circuit, plan, observable) -> KnitResult:
         contributions.append(contrib)
         total += contrib
     return KnitResult(total, tuple(contributions), plan.total_overhead)
+
+
+# The sampled knitting reference: one statevector per shot and fragment,
+# its measurements collapsed one at a time (``knit_execute``'s shots mode
+# before it ran every shot of a fragment as one batch).
+
+
+def reference_knit_shots(circuit, plan, observable, shots, seed=None) -> KnitResult:
+    """``knit_execute(circuit, plan, observable, mode="shots", shots=shots,
+    seed=seed)``, one shot at a time.  It draws its randomness in another
+    order, so it agrees with the batch engine in distribution only."""
+    n_left = plan.cut_bond + 1
+    n_right = circuit.n_qubits - n_left
+    left_prog, right_prog = _fragment_programs(circuit, plan)
+    split, left_strings, right_strings = _split_observable(observable, plan)
+    rng = np.random.default_rng(seed)
+    gamma_total = 1.0
+    samplers = []
+    for dec in plan.decompositions:
+        gamma_total *= dec.gamma
+        coeffs = np.array([t.coefficient for t in dec.terms])
+        samplers.append((np.abs(coeffs) / dec.gamma, np.sign(coeffs)))
+    estimates = []
+    for _ in range(shots):
+        combo = []
+        sign = 1.0
+        for probs, signs in samplers:
+            t = int(rng.choice(len(probs), p=probs))
+            combo.append(t)
+            sign *= signs[t]
+        combo = tuple(combo)
+        le, lsign = _run_trajectory(left_prog, n_left, plan, combo, "left",
+                                    left_strings, rng)
+        re_, rsign = _run_trajectory(right_prog, n_right, plan, combo, "right",
+                                     right_strings, rng)
+        est = gamma_total * sign * lsign * rsign * sum(
+            c * le[a] * re_[b] for c, a, b in split
+        )
+        estimates.append(est)
+    return KnitResult(
+        float(np.mean(estimates)), tuple(estimates), plan.total_overhead
+    )
+
+
+def _run_trajectory(prog, n_frag, plan, combo, side, strings, rng):
+    """Single stochastic pass through a fragment: measurement channels collapse
+    with Born probabilities and contribute outcome signs."""
+    amps = np.zeros(1 << n_frag, dtype=np.complex128)
+    amps[0] = 1.0
+    sign = 1.0
+    for item in prog:
+        if item[0] == "gate":
+            _apply_gate(amps, item[1])
+            continue
+        _, ordinal, q = item
+        term = plan.decompositions[ordinal].terms[combo[ordinal]]
+        ops = term.left_ops if side == "left" else term.right_ops
+        meas = term.left_meas if side == "left" else term.right_meas
+        for op in ops:
+            _apply_gate(amps, op.gate(q))
+        if meas is not None:
+            v = _MEAS_ROTATION[meas]
+            _apply_gate(amps, Gate(GateKind.UNITARY, (q,), matrix=v))
+            view = amps.reshape(-1, 2, 1 << q)
+            p0 = float(np.sum(np.abs(view[:, 0, :]) ** 2))
+            bit = 0 if rng.random() < p0 else 1
+            view[:, 1 - bit, :] = 0.0
+            norm = np.linalg.norm(amps)
+            if norm > 0:
+                amps /= norm
+            if bit == 1:
+                sign = -sign
+            _apply_gate(amps, Gate(GateKind.UNITARY, (q,), matrix=v.conj().T))
+    state = simsv.StateVector(n_frag, amps)
+    values = {}
+    for key, ps in strings.items():
+        if ps.is_identity:
+            values[key] = 1.0
+        else:
+            values[key] = simsv.expectation(state, PauliSum([(1.0, ps)]))
+    return values, sign
 
 
 # The list scheduler's reference: one FIFO scan loop per policy, which

@@ -8,6 +8,7 @@ import pytest
 
 from quilt.circuit import Circuit, PauliSum, cx, h, measure
 from quilt.dispatch import DispatchClient, DispatchError, DispatchServer
+from quilt.dispatch import server as server_module
 from quilt.dispatch.protocol import (
     observable_from_json,
     observable_to_json,
@@ -144,6 +145,36 @@ def test_fuzzed_lines_get_error_replies_and_server_survives(server):
             sock.sendall(payload)
             assert json.loads(f.readline())["ok"] is False
     # server still works after the abuse
+    with client_for(server) as client:
+        job = client.submit(bell_circuit(), PauliSum([(1.0, "ZZ")]))
+        assert client.wait(job) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_oversized_request_line_is_refused_and_server_keeps_serving(server, monkeypatch):
+    limit = 512
+    monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", limit)
+    host, port = server.address
+
+    def poll_line(size):  # a poll request exactly ``size`` bytes long
+        pad = size - len(b'{"op":"poll","job_id":""}\n')
+        return b'{"op":"poll","job_id":"' + b"j" * pad + b'"}\n'
+
+    with client_for(server) as other:
+        with socket.create_connection((host, port), timeout=10) as sock:
+            f = sock.makefile("rb")
+            sock.sendall(poll_line(limit))  # at the limit: an ordinary reply
+            assert json.loads(f.readline()) == {"ok": False, "error": "unknown job"}
+            sock.sendall(poll_line(limit + 1))
+            reply = json.loads(f.readline())
+            assert reply["ok"] is False and f"exceeds {limit} bytes" in reply["error"]
+            try:
+                rest = f.readline()
+            except ConnectionResetError:
+                rest = b""
+            assert rest == b""  # the server closed this connection
+        # a client connected before the oversized line is still served
+        job = other.submit(bell_circuit(), PauliSum([(1.0, "ZZ")]))
+        assert other.wait(job) == pytest.approx(1.0, abs=1e-10)
     with client_for(server) as client:
         job = client.submit(bell_circuit(), PauliSum([(1.0, "ZZ")]))
         assert client.wait(job) == pytest.approx(1.0, abs=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quilt import knit
-from quilt.circuit import Circuit, PauliSum, cx, cz, h, rx, ry, rzz, unitary
+from quilt.circuit import Circuit, Gate, PauliSum, cx, cz, h, rx, ry, rzz, unitary
 from quilt.knit import (
     CutGateDecomposition,
     KnitError,
@@ -27,10 +27,12 @@ from oracles import (
     H2,
     S2,
     SDG2,
+    embed_1q,
     gate_full,
     pauli_matrix,
     random_circuit,
     reference_knit_exact,
+    reference_knit_shots,
     rx2,
 )
 
@@ -458,6 +460,141 @@ def test_shots_mode_validation():
         knit_execute(c, plan, obs, mode="shots")
     with pytest.raises(KnitError):
         knit_execute(c, plan, obs, mode="frequencies")
+
+
+def test_shots_count_must_be_a_positive_integer():
+    c = Circuit(4, (ry(1, 0.7), rzz(1, 2, 0.8), ry(2, 0.3)))
+    plan = plan_cut(c, 1)
+    obs = PauliSum([(1.0, "IZZI")])
+    for bad in (True, False, 2.5, 3.0, 0, -2, "3", np.float64(4.0)):
+        with pytest.raises(KnitError, match="integer shots"):
+            knit_execute(c, plan, obs, mode="shots", shots=bad, seed=1)
+    res = knit_execute(c, plan, obs, mode="shots", shots=np.int64(3), seed=1)
+    assert len(res.per_term_values) == 3
+    assert res.per_term_values == knit_execute(c, plan, obs, mode="shots", shots=3,
+                                               seed=1).per_term_values
+
+
+def test_shots_without_measured_terms_are_exact():
+    # RZZ(0) keeps only the (I, I) term and RZZ(pi) only (Z, Z): every shot
+    # draws the one term there is, and no side measures
+    mirrored = Circuit(4, (ry(0, 0.9), ry(1, 0.4), ry(2, 1.3), cx(2, 3), rzz(1, 2, 0.0),
+                           rx(1, 0.6), rzz(2, 1, np.pi), ry(2, -0.5), cx(0, 1)))
+    plain = Circuit(4, (ry(0, 0.8), cx(0, 1), ry(2, 1.1), cx(2, 3)))
+    obs = PauliSum([(1.0, "ZZZZ"), (0.5, "IIII"), (-0.75, "XZYX"), (0.25, "IIIZ")])
+    for c, n_cuts in ((mirrored, 2), (plain, 0)):
+        plan = plan_cut(c, 1)
+        assert len(plan.cut_gates) == n_cuts
+        assert all(len(d.terms) == 1 and not (d.terms[0].left_meas or d.terms[0].right_meas)
+                   for d in plan.decompositions)
+        exact = expectation(simulate(c), obs)
+        res = knit_execute(c, plan, obs, mode="shots", shots=50, seed=3)
+        assert np.max(np.abs(np.subtract(res.per_term_values, exact))) <= 1e-12
+
+
+def test_shots_build_no_gates_per_shot(monkeypatch):
+    c = Circuit(4, (ry(0, 1.1), ry(1, 0.5), ry(2, 0.8), ry(3, 1.7),
+                    cx(1, 2), ry(1, 0.4), cz(2, 1), rzz(1, 2, 0.6), cx(2, 3), ry(2, -0.6)))
+    plan = plan_cut(c, 1)
+    obs = PauliSum([(1.0, "ZZZZ"), (0.25, "IXYI")])
+    knit_execute(c, plan, obs, mode="shots", shots=10, seed=1)  # fills the piece caches
+    built = []
+    init = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: (built.append(g), init(g)))
+    counts = []
+    for shots in (10, 1000):
+        built.clear()
+        knit_execute(c, plan, obs, mode="shots", shots=shots, seed=1)
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0  # the fragments' local gates, once
+
+
+def test_collapse_keeps_each_piece_with_its_born_weight():
+    """Row r keeps piece 0 exactly when u (p0 + p1) < p0, p_b = |M_b psi_r|^2,
+    becomes M_b psi_r / sqrt(p_b), and returns piece b's sign."""
+    rng = np.random.default_rng(12)
+    decs = [decompose_cut_gate(g) for g in (rzz(0, 1, 0.8), cx(0, 1), cz(0, 1))]
+    sides = {side for dec in decs + [d.mirrored() for d in decs] for t in dec.terms
+             for side in ((t.left_ops, t.left_meas), (t.right_ops, t.right_meas))}
+    sides |= {((), "X"), ((), "Y")}  # every basis execution supports
+    n, rows = 3, 6
+    for ops, meas in sides:
+        pieces = knit._side_pieces(ops, meas)
+        mats = np.zeros((rows, 2, 2, 2), dtype=complex)
+        mats[:, :len(pieces)] = [m for _, m in pieces]
+        for q in range(n):
+            psi = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            branches = [psi @ embed_1q(m, q, n).T for _, m in pieces]
+            p = np.array([np.sum(np.abs(b) ** 2, axis=1) for b in branches])
+            threshold = p[0] / p.sum(axis=0)
+            for shift in (-1e-9, 1e-9):
+                bit = 0 if len(pieces) == 1 or shift < 0 else 1
+                amps = psi.copy()
+                signs = knit._collapse(amps, q, mats, np.clip(threshold + shift, 0, 0.999))
+                assert np.all(signs == pieces[bit][0])
+                want = branches[bit] / np.sqrt(p[bit])[:, None]
+                assert np.max(np.abs(amps - want)) <= 1e-12
+
+
+def _shots_cases():
+    """Random nearest-neighbour circuits with 1-3 RZZ/CX/CZ cuts."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(14):
+        n = int(rng.integers(2, 6))
+        c = random_circuit(rng, n, int(rng.integers(15, 30)), nearest_neighbor=True)
+        bond = int(rng.integers(0, n - 1))
+        crossing = [j for j, g in enumerate(c.gates)
+                    if len(g.qubits) == 2 and min(g.qubits) <= bond < max(g.qubits)]
+        q = (bond + 1, bond) if i % 2 else (bond, bond + 1)  # odd cases: a mirrored cut
+        extra = [rzz(*q, 0.9), cx(*q), cz(*q)][i % 3]  # so every circuit has a cut
+        drop = set(crossing[i % 3:])
+        gates = [g for j, g in enumerate(c.gates) if j not in drop]
+        gates.insert(int(rng.integers(0, len(gates) + 1)), extra)
+        cases.append((Circuit(n, tuple(gates)), bond, _random_pauli_sum(rng, n, 4)))
+    return cases
+
+
+def test_sampled_knit_matches_reference_in_distribution():
+    shots = 1000
+    seen = {"mirrored": 0, "cuts": set(), "kinds": set(), "compared": 0}
+    for k, (c, bond, obs) in enumerate(_shots_cases()):
+        plan = plan_cut(c, bond)
+        exact = knit_execute(c, plan, obs).value
+        got = knit_execute(c, plan, obs, mode="shots", shots=shots, seed=k)
+        want = reference_knit_shots(c, plan, obs, shots, seed=k)
+        var, ref_var = np.var(got.per_term_values), np.var(want.per_term_values)
+        assert abs(got.value - exact) <= 5 * np.sqrt(var / shots) + 1e-12
+        if ref_var > 1e-6:
+            assert 0.75 <= var / ref_var <= 1.33
+            seen["compared"] += 1
+        seen["cuts"].add(len(plan.cut_gates))
+        seen["kinds"].update(c.gates[i].kind.value for i in plan.cut_gates)
+        seen["mirrored"] += sum(c.gates[i].qubits[0] > bond for i in plan.cut_gates)
+    assert seen["cuts"] == {1, 2, 3} and seen["kinds"] == {"rzz", "cx", "cz"}
+    assert seen["mirrored"] > 0 and seen["compared"] >= 10
+
+
+@pytest.mark.parametrize("batch_amps", [1, 100])
+def test_shots_chunking_changes_no_value(monkeypatch, batch_amps):
+    cases = _lockstep_cases()[:20]
+    want = [knit_execute(c, plan_cut(c, bond), obs, mode="shots", shots=40, seed=i)
+            for i, (c, bond, obs) in enumerate(cases)]
+    monkeypatch.setattr(knit, "_BATCH_AMPS", batch_amps)
+    chunks = []  # (rows, amplitudes per row) of each chunk reaching a cut
+    run = knit._collapse
+    monkeypatch.setattr(knit, "_collapse", lambda amps, *a: (chunks.append(amps.shape),
+                                                             run(amps, *a))[1])
+    for i, (c, bond, obs) in enumerate(cases):
+        got = knit_execute(c, plan_cut(c, bond), obs, mode="shots", shots=40, seed=i)
+        assert got.per_term_values == want[i].per_term_values
+    assert all(rows <= max(1, batch_amps // width) for rows, width in chunks)
+    rows = [r for r, _ in chunks]
+    if batch_amps == 1:
+        assert set(rows) == {1}
+    else:  # the shots were split, and some chunks still hold several
+        assert min(rows) < 40 and max(rows) > 1
 
 
 # -- spin chains -----------------------------------------------------------------
