@@ -154,7 +154,7 @@ class DispatchServer:
             return {"ok": False, "error": "mode must be exact or shots"}
         if mode.get("kind") == "shots":
             count = mode.get("count")
-            if not isinstance(count, int) or count < 1:
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 return {"ok": False, "error": "shots mode needs a positive count"}
         if not self._accepting:
             return {"ok": False, "error": "server is shutting down"}

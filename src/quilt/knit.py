@@ -11,8 +11,9 @@ factorizes across the cut.  The price is the sampling overhead
 gate ``i`` - for ``RZZ(theta)`` that is ``1 + 2|sin(theta)|``, for CX/CZ
 it is 3.
 
-Both modes run each fragment once, compiled, as a 2-D batch of states (one
-per row).  Exact mode forks the rows at each cut once per distinct side
+Both modes run each fragment once, compiled by :func:`simsv._compile` (the
+compiler that also lowers parametric circuits), as a 2-D batch of states
+(one per row).  Exact mode forks the rows at each cut once per distinct side
 option (5 per side for RZZ/CX/CZ; a signed measurement twice), so gates
 before a cut run once per shared prefix.  Shots mode gives each shot a row.
 
@@ -31,7 +32,6 @@ inferred from entropy.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -391,36 +391,9 @@ def _fragment_programs(circuit: Circuit, plan: CutPlan):
 
 
 def _compile_fragment(prog, n_frag: int) -> list[tuple]:
-    """Batch ops: ``("phase", vector)`` per run of diagonal gates, ``("single",
-    q, 2x2)`` per other 1q gate and ``("rows", gate)`` per other gate, applied
-    row by row (the multi-qubit kernels take n from the array size)."""
-    ops: list[tuple] = []
-    for diagonal, items in itertools.groupby(
-        prog, lambda item: item[0] == "gate" and item[1].kind in simsv._DIAGONAL_KINDS
-    ):
-        if diagonal:
-            ops.append(("phase", simsv._diagonal_phase([g for _, g in items], n_frag)))
-            continue
-        for item in items:
-            gate = item[1]
-            if item[0] == "slot":
-                ops.append(item)
-            elif len(gate.qubits) == 1:
-                ops.append(("single", gate.qubits[0], gate.unitary()))
-            else:
-                ops.append(("rows", gate))
-    return ops
-
-
-def _apply_op(op, amps) -> None:
-    """Apply one non-slot batch op to every row of ``amps``."""
-    if op[0] == "phase":
-        amps *= op[1]
-    elif op[0] == "single":
-        kernels.apply_single(amps.reshape(-1), op[1], op[2])
-    else:
-        for row in amps:
-            simsv._apply_gate(row, op[1])
+    """:func:`simsv._compile`'s batch ops for a fragment program, its
+    ``("slot", ordinal, q)`` items passed through in place."""
+    return simsv._compile([x[1] if x[0] == "gate" else x for x in prog], n_frag)
 
 
 def _run_lockstep(ops, amps, seq, sign, pieces, strings, out) -> None:
@@ -430,7 +403,7 @@ def _run_lockstep(ops, amps, seq, sign, pieces, strings, out) -> None:
     ``_BATCH_AMPS`` amplitudes, else one batch per piece."""
     for i, op in enumerate(ops):
         if op[0] != "slot":
-            _apply_op(op, amps)
+            simsv._apply_op(op, amps)
             continue
         _, ordinal, q = op
         cut = pieces[ordinal]
@@ -509,7 +482,7 @@ def _sample_fragment(prog, n_frag: int, plan: CutPlan, side: str, strings,
                 _, d, q = op
                 sign[chunk] *= _collapse(amps, q, cuts[d][picks[d, chunk]], uniforms[chunk, d])
             else:
-                _apply_op(op, amps)
+                simsv._apply_op(op, amps)
         for k, ps in enumerate(strings.values()):
             out[k, chunk] = simsv.string_expectation(amps, ps).real
     return dict(zip(strings, out)), sign

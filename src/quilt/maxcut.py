@@ -41,7 +41,7 @@ class MaxCutError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with non-negative edge weights."""
+    """Simple undirected graph with finite, non-negative edge weights."""
 
     n_nodes: int
     edges: tuple[tuple[int, int, float], ...]
@@ -62,6 +62,8 @@ class Graph:
                 raise MaxCutError(f"self-loop on node {u}")
             if not 0 <= u < self.n_nodes or not 0 <= v < self.n_nodes:
                 raise MaxCutError(f"edge ({u},{v}) out of range")
+            if not math.isfinite(w):
+                raise MaxCutError(f"non-finite weight {w} on edge ({u},{v})")
             if w < 0:
                 raise MaxCutError(f"negative weight on edge ({u},{v})")
             key = (min(u, v), max(u, v))

@@ -6,13 +6,15 @@ machine.  Sampling uses numpy's seeded PCG64 generator with inverse-CDF
 lookup over the fixed little-endian amplitude ordering, so counts are
 reproducible for a given seed.
 
-A parametric circuit simulated with ``bindings`` is lowered once and the
-lowering is kept on the circuit (:attr:`Circuit.memo`): the gates before
-the first symbolic one are applied to |0...0> once, each later run of
-diagonal gates that holds a symbolic angle becomes one phase-vector
-multiply, and each symbolic RX/RY one 2x2 kernel call, so repeated
-evaluations (variational optimizers) build no gates.  Pauli strings are
-evaluated from their bit masks without applying gates to a state copy.
+One compiler (:func:`_compile`) turns a gate list into batch ops for both
+the lowering below and knitting's fragments: each maximal run of diagonal
+gates, bound or symbolic, becomes one phase-vector multiply, and each other
+1q gate one 2x2 kernel call.  A parametric circuit simulated with
+``bindings`` is lowered once and the lowering is kept on the circuit
+(:attr:`Circuit.memo`): the gates before the first symbolic one are applied
+to |0...0> once, and the rest are compiled, so repeated evaluations
+(variational optimizers) build no gates.  Pauli strings are evaluated from
+their bit masks without applying gates to a state copy.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, GateKind, PauliString, PauliSum, rotation_unitary
+from .circuit import Circuit, Gate, GateKind, PauliString, PauliSum, rotation_unitary
 
 MAX_QUBITS = 24
 
-_DIAG_1Q = {
-    GateKind.Z: (1.0 + 0j, -1.0 + 0j),
-    GateKind.S: (1.0 + 0j, 1j),
-    GateKind.SDG: (1.0 + 0j, -1j),
-    GateKind.T: (1.0 + 0j, np.exp(0.25j * np.pi)),
-}
-_DIAGONAL_KINDS = frozenset(_DIAG_1Q) | {GateKind.RZ, GateKind.RZZ, GateKind.CZ}
+# phi of each fixed diagonal 1q gate, diag(1, e^{i phi})
+_DIAG_1Q = {GateKind.Z: np.pi, GateKind.S: np.pi / 2,
+            GateKind.SDG: -np.pi / 2, GateKind.T: np.pi / 4}
 _Y_PHASE = (1.0 + 0j, 1j, -1.0 + 0j, -1j)  # i**n_y
 
 
@@ -90,14 +88,8 @@ def _apply_gate(amps: np.ndarray, gate) -> None:
             kernels.apply_two(amps, gate.qubits[0], gate.qubits[1], gate.matrix)
         else:
             kernels.apply_unitary(amps, gate.qubits, gate.matrix)
-    elif kind in _DIAG_1Q:
-        p0, p1 = _DIAG_1Q[kind]
-        kernels.apply_diag_single(amps, gate.qubits[0], p0, p1)
-    elif kind is GateKind.RZ:
-        t = float(gate.param)
-        kernels.apply_diag_single(
-            amps, gate.qubits[0], np.exp(-0.5j * t), np.exp(0.5j * t)
-        )
+    elif kind in _DIAG_1Q or kind is GateKind.RZ:
+        kernels.apply_diag_single(amps, gate.qubits[0], *gate.unitary().diagonal())
     else:
         kernels.apply_single(amps, gate.qubits[0], gate.unitary())
 
@@ -152,95 +144,121 @@ def _parity_signs(n_qubits: int, z_mask: int) -> np.ndarray:
     return signs
 
 
-def _diagonal_phase(gates, n_qubits: int) -> np.ndarray | None:
-    """Product of the phase vectors of bound diagonal ``gates``
-    (Z/S/SDG/T/RZ/RZZ/CZ) over all 2**n_qubits basis indices, or None for
-    no gates: multiplying amplitudes by it applies the whole run."""
-    fixed = None
-    for g in gates:
-        # (-1)**(parity of g's qubits in i): Z, or ZZ for a 2q gate
-        z = _parity_signs(n_qubits, sum(1 << q for q in g.qubits))
-        if g.kind in _DIAG_1Q:
-            p0, p1 = _DIAG_1Q[g.kind]
-            phase = np.where(z < 0, p1, p0)
-        elif g.kind is GateKind.CZ:  # -1 only where both bits are set
-            a, b = (_parity_signs(n_qubits, 1 << q) for q in g.qubits)
-            phase = 0.5 * (1.0 + a + b - z)
-        else:  # RZ / RZZ: exp(-i t/2 * Z...Z)
-            phase = np.exp(-0.5j * g.param * z)
-        fixed = phase.astype(np.complex128) if fixed is None else fixed * phase
-    return fixed
+def _phase_weights(gate) -> dict[int, float] | None:
+    """A diagonal gate as real weights ``w_m`` on parity masks ``m``, its
+    phase being ``exp(-i/2 * sum_m w_m (-1)**|i & m|)`` (a symbolic angle's
+    weight is per unit of its value), or None for any other gate.  Mask 0,
+    a global phase, makes Z/S/SDG/T/CZ exact up to rounding."""
+    kind = gate.kind
+    bits = [1 << q for q in gate.qubits]
+    if kind in (GateKind.RZ, GateKind.RZZ):
+        return {sum(bits): gate.param if gate.is_bound else gate.param_scale}
+    if kind in _DIAG_1Q:
+        phi = _DIAG_1Q[kind]
+        return {0: -phi, bits[0]: phi}
+    if kind is GateKind.CZ:  # e^{i pi a b}, with a b = (1 - z_a - z_b + z_a z_b) / 4
+        h = np.pi / 2
+        return {0: -h, bits[0]: h, bits[1]: h, sum(bits): -h}
+    return None
+
+
+def _compile(gates, n_qubits: int) -> list[tuple]:
+    """Batch ops for ``gates``, each applied by :func:`_apply_op` to one
+    state or to a 2-D batch (one state per row):
+
+    * ``("phase", fixed, generators)`` per maximal run of diagonal gates:
+      ``fixed * exp(-i/2 * sum_s value_s * generator_s)``, where ``fixed``
+      (or None) is the run's bound part, exponentiated here, and each
+      symbol's generator is a real vector that includes ``param_scale``;
+    * ``("single", q, 2x2)`` per other bound 1q gate;
+    * ``("rotation", gate)`` per symbolic RX/RY;
+    * ``("gate", gate)`` per other gate, applied row by row (the numpy
+      multi-qubit kernels take n from the array size).
+
+    Measures are dropped.  An item that is not a :class:`Gate` (a caller's
+    own marker) ends the current run and is passed through unchanged.
+    """
+    ops: list[tuple] = []
+    signs: dict[int, np.ndarray] = {}  # each parity vector, built once
+    run: dict = {}  # symbol (None: the bound gates) -> {mask: weight}
+
+    def end_run():
+        vectors = {}
+        for name, weights in run.items():
+            for m in weights.keys() - signs.keys():
+                signs[m] = _parity_signs(n_qubits, m)
+            vectors[name] = sum(w * signs[m] for m, w in weights.items())
+        fixed = np.exp(-0.5j * vectors.pop(None)) if None in vectors else None
+        ops.append(("phase", fixed, tuple(vectors.items())))
+        run.clear()
+
+    for gate in gates:
+        weights = _phase_weights(gate) if isinstance(gate, Gate) else None
+        if weights is not None:
+            acc = run.setdefault(None if gate.is_bound else gate.param, {})
+            for m, w in weights.items():
+                acc[m] = acc.get(m, 0.0) + w
+            continue
+        if run:
+            end_run()
+        if not isinstance(gate, Gate):
+            ops.append(gate)
+        elif not gate.is_bound:
+            ops.append(("rotation", gate))
+        elif len(gate.qubits) > 1:
+            ops.append(("gate", gate))
+        elif gate.kind is not GateKind.MEASURE:
+            ops.append(("single", gate.qubits[0], gate.unitary()))
+    if run:
+        end_run()
+    return ops
+
+
+def _apply_op(op, amps: np.ndarray, values: Mapping[str, float] | None = None) -> None:
+    """Apply one :func:`_compile` op in place to ``amps``, one state or a 2-D
+    batch; ``values`` binds the symbols of "phase" and "rotation" ops."""
+    kind = op[0]
+    if kind == "phase":
+        _, fixed, generators = op
+        if generators:
+            amps *= np.exp(-0.5j * sum(values[s] * gen for s, gen in generators))
+        if fixed is not None:
+            amps *= fixed
+    elif kind == "single":
+        kernels.apply_single(amps.reshape(-1), op[1], op[2])
+    elif kind == "rotation":
+        g = op[1]
+        u = rotation_unitary(g.kind, g.param_scale * values[g.param])
+        kernels.apply_single(amps.reshape(-1), g.qubits[0], u)
+    else:
+        for row in amps.reshape(-1, amps.shape[-1]):
+            _apply_gate(row, op[1])
 
 
 class _Lowered:
-    """A parametric circuit compiled for repeated evaluation.
-
-    ``ops`` covers the gates after the first symbolic one, as
-    ``("gate", gate)`` (a bound gate, applied by its kernel),
-    ``("rotation", gate)`` (a symbolic RX/RY, one 2x2 kernel call) or
-    ``("diagonal", fixed, generators)``: a maximal run of diagonal gates
-    holding at least one symbolic angle, applied as
-    ``fixed * exp(-i/2 * sum_s value_s * generator_s)``.  ``fixed`` (or
-    None) carries the run's bound gates; each generator is a real diagonal
-    that already includes ``param_scale``.
-    """
+    """A parametric circuit compiled for repeated evaluation: the gates
+    before the first symbolic one, as ops and applied once to |0...0>, and
+    :func:`_compile`'s ops for the rest."""
 
     def __init__(self, circuit: Circuit):
         n = circuit.n_qubits
         gates = circuit.gates
         start = next(i for i, g in enumerate(gates) if not g.is_bound)
-        self.prefix = gates[:start]
+        self.prefix = _compile(gates[:start], n)
         self.start_amps = _start_amps(n, None)
-        for gate in self.prefix:
-            _apply_gate(self.start_amps, gate)
-        self.ops: list[tuple] = []
-        run: list = []
-        for gate in gates[start:]:
-            if gate.kind in _DIAGONAL_KINDS:
-                run.append(gate)
-                continue
-            self._add_diagonal_run(run, n)
-            run = []
-            if gate.kind is not GateKind.MEASURE:
-                self.ops.append(("gate" if gate.is_bound else "rotation", gate))
-        self._add_diagonal_run(run, n)
-
-    def _add_diagonal_run(self, run, n_qubits: int) -> None:
-        if all(g.is_bound for g in run):
-            self.ops.extend(("gate", g) for g in run)
-            return
-        generators: dict[str, np.ndarray] = {}
-        for g in run:
-            if g.is_bound:
-                continue
-            term = g.param_scale * _parity_signs(n_qubits, sum(1 << q for q in g.qubits))
-            prev = generators.get(g.param)
-            generators[g.param] = term if prev is None else prev + term
-        fixed = _diagonal_phase([g for g in run if g.is_bound], n_qubits)
-        self.ops.append(("diagonal", fixed, tuple(generators.items())))
+        for op in self.prefix:
+            _apply_op(op, self.start_amps)
+        self.ops = _compile(gates[start:], n)
 
     def run(self, values: Mapping[str, float], initial: StateVector | None) -> np.ndarray:
         if initial is None:
             amps = self.start_amps.copy()
         else:
             amps = _start_amps(initial.n_qubits, initial)
-            for gate in self.prefix:
-                _apply_gate(amps, gate)
+            for op in self.prefix:
+                _apply_op(op, amps)
         for op in self.ops:
-            kind = op[0]
-            if kind == "gate":
-                _apply_gate(amps, op[1])
-            elif kind == "rotation":
-                g = op[1]
-                theta = g.param_scale * values[g.param]
-                kernels.apply_single(amps, g.qubits[0], rotation_unitary(g.kind, theta))
-            else:
-                _, fixed, generators = op
-                angle = sum(values[name] * gen for name, gen in generators)
-                phase = np.exp(-0.5j * angle)
-                if fixed is not None:
-                    phase *= fixed
-                amps *= phase
+            _apply_op(op, amps, values)
         return amps
 
 
@@ -358,8 +376,8 @@ def sample(state: StateVector, shots: int, seed: int | None = None) -> dict[str,
     Keys are little-endian: character ``i`` is the value of qubit ``i``.
     Keys appear in ascending basis-index order.
     """
-    if shots < 1:
-        raise SimulationError("shots must be >= 1")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise SimulationError(f"shots must be an integer >= 1, got {shots!r}")
     probs = state.probabilities()
     probs = probs / probs.sum()
     cdf = np.cumsum(probs)

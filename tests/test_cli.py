@@ -89,6 +89,13 @@ def test_maxcut_greedy_triangle(tmp_path, capsys):
     assert payload["method"] == "greedy"
 
 
+def test_maxcut_non_finite_weight_is_an_error(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("3\n0 1\n1 2 nan\n")
+    assert main(["maxcut", str(path), "--method", "greedy"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_maxcut_qaoa2_two_triangles(graph_file, tmp_path):
     out = tmp_path / "result.json"
     csv_path = tmp_path / "bench.csv"

@@ -68,6 +68,13 @@ def test_shots_counts_match_local_simulation(server):
     assert counts == local  # byte-equal content through the JSON protocol
 
 
+@pytest.mark.parametrize("count", [True, 2.0, "3", 0])
+def test_shots_mode_rejects_a_count_that_is_not_a_positive_integer(server, count):
+    with client_for(server) as client:
+        with pytest.raises(DispatchError, match="positive count"):
+            client.submit(bell_circuit(), PauliSum([(1.0, "ZZ")]), mode="shots", shots=count)
+
+
 def test_poll_unknown_job(server):
     with client_for(server) as client:
         with pytest.raises(DispatchError, match="unknown job"):

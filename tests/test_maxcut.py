@@ -57,6 +57,16 @@ def test_graph_validation():
         Graph(2, ((0, 1, -1.0),))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_graph_rejects_non_finite_weights(tmp_path, weight):
+    with pytest.raises(MaxCutError, match="non-finite"):
+        Graph(2, ((0, 1, weight),))
+    path = tmp_path / "g.txt"
+    path.write_text(f"3\n0 1\n1 2 {weight}\n")
+    with pytest.raises(MaxCutError, match="non-finite"):
+        Graph.from_file(path)
+
+
 def test_graph_file_roundtrip(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("# demo\n4\n0 1\n1 2 2.5\n2 3\n")

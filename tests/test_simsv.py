@@ -161,6 +161,18 @@ def test_sample_rejects_nonpositive_shots():
         sample(st, 0)
 
 
+@pytest.mark.parametrize("shots", [True, False, 2.0, "3", None, np.float64(4.0)])
+def test_sample_rejects_non_integer_shots(shots):
+    st = simulate(Circuit(1))
+    with pytest.raises(SimulationError, match="integer"):
+        sample(st, shots)
+
+
+def test_sample_accepts_numpy_integer_shots():
+    st = simulate(Circuit(2, (h(0), cx(0, 1))))
+    assert sample(st, np.int64(300), seed=4) == sample(st, 300, seed=4)
+
+
 def test_sample_bitstring_orientation():
     # X on qubit 0 of 2 -> index 1 -> bitstring "10" (char i = qubit i)
     from quilt.circuit import x
@@ -282,6 +294,101 @@ def test_bindings_build_no_gates_after_lowering(monkeypatch):
     again = simulate(ansatz, bindings=values)
     assert built == []
     assert np.array_equal(again.amps, first.amps)
+
+
+# the gate compiler ------------------------------------------------------------------
+
+
+def _bound_diagonal_run(rng, n_qubits, length):
+    from quilt.circuit import Gate, GateKind
+
+    gates = []
+    kinds = ["z", "s", "sdg", "t", "rz"] + (["cz", "rzz"] if n_qubits > 1 else [])
+    for _ in range(length):
+        kind = GateKind(rng.choice(kinds))
+        if kind in (GateKind.CZ, GateKind.RZZ):
+            qubits = tuple(int(q) for q in rng.choice(n_qubits, size=2, replace=False))
+        else:
+            qubits = (int(rng.integers(n_qubits)),)
+        angle = float(rng.uniform(-4, 4)) if kind in (GateKind.RZ, GateKind.RZZ) else None
+        gates.append(Gate(kind, qubits, angle))
+    return tuple(gates)
+
+
+def _bound_runs_after_symbolic_gate(rng, n_qubits):
+    """Symbolic gates, each followed by an all-bound diagonal run."""
+    from quilt.circuit import rx, ry, rz
+
+    gates = [h(q) for q in range(n_qubits)]
+    for symbolic in (ry(0, "a"), rz(n_qubits - 1, "b"), rx(0, "a")):
+        gates.append(symbolic)
+        gates.extend(_bound_diagonal_run(rng, n_qubits, int(rng.integers(1, 8))))
+        gates.append(h(int(rng.integers(n_qubits))))
+    return Circuit(n_qubits, tuple(gates))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_compiled_ops_on_a_batch_match_each_row_of_the_bound_circuit(batch):
+    from quilt.simsv import _apply_op, _compile
+
+    rng = np.random.default_rng(300 + batch)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(1, 6))
+        if trial % 2:
+            c = random_circuit(rng, n, 30, parametric=True)
+        else:
+            c = _bound_runs_after_symbolic_gate(rng, n)
+        if c.is_bound:
+            continue
+        checked += 1
+        values = _random_values(rng, c)
+        rows = np.array([_random_state(rng, n).amps for _ in range(batch)])
+        amps = rows.copy()
+        for op in _compile(c.gates, n):
+            _apply_op(op, amps, values)
+        bound = c.bind(values)
+        for got, row in zip(amps, rows):
+            ref = simulate(bound, initial=StateVector(n, row)).amps
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        lowered = simulate(c, initial=StateVector(n, rows[0]), bindings=values).amps
+        assert np.max(np.abs(lowered - amps[0])) <= 1e-12
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiled_phase_of_each_diagonal_gate_matches_its_unitary(n):
+    from quilt.circuit import Gate, GateKind
+    from quilt.simsv import _compile
+
+    gates = [Gate(kind, (q,)) for kind in (GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T)
+             for q in range(n)]
+    gates += [Gate(GateKind.RZ, (q,), t) for q in range(n) for t in (0.7, -2.3, np.pi, 9.1)]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]  # both orders
+    gates += [Gate(GateKind.CZ, pair) for pair in pairs]
+    gates += [Gate(GateKind.RZZ, pair, t) for pair in pairs for t in (0.7, -2.3, 9.1)]
+    for gate in gates:
+        d = gate.unitary().diagonal()
+        want = [d[sum(((i >> q) & 1) << j for j, q in enumerate(gate.qubits))]
+                for i in range(1 << n)]
+        (op,) = _compile([gate], n)
+        assert op[0] == "phase" and op[2] == ()
+        assert np.max(np.abs(op[1] - want)) <= 1e-15, gate
+
+
+def test_compile_builds_each_parity_vector_once(monkeypatch):
+    from quilt import simsv
+    from quilt.circuit import rx, rz, rzz
+
+    steps = [(rzz(0, 1, 0.3), rzz(1, 2, "j"), rz(0, 0.2), rz(2, "g"), rx(1, 0.5))] * 4
+    c = Circuit(3, tuple(g for step in steps for g in step))
+    built = []
+    real = simsv._parity_signs
+    monkeypatch.setattr(simsv, "_parity_signs",
+                        lambda n, mask: built.append(mask) or real(n, mask))
+    ops = simsv._compile(c.gates, 3)
+    assert sorted(built) == [0b001, 0b011, 0b100, 0b110]
+    assert [op[0] for op in ops] == ["phase", "single"] * 4
 
 
 # Pauli-string evaluator -----------------------------------------------------------
