@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 
 from ..circuit import Circuit, PauliSum
@@ -97,23 +98,29 @@ class DispatchClient:
     def fetch(self, job_id: str):
         """Result of a finished job: a float (exact) or counts dict (shots)."""
         reply = self._checked({"op": "fetch", "job_id": job_id})
-        result = reply["result"]
-        if "value" in result:
-            return result["value"]
-        return result["counts"]
+        return _result_value(reply["result"])
 
-    def wait(self, job_id: str, timeout: float = 30.0, interval: float = 0.01):
-        """Poll until done and fetch; raises on failure or timeout."""
+    def wait(self, job_id: str, timeout: float = 30.0):
+        """Block until the job finishes and return its result, as :meth:`fetch`.
+
+        Raises on failure or after ``timeout`` seconds.  Each ``wait`` request
+        asks the server to block for at most half the socket timeout, so its
+        reply always comes back before the socket gives up on it.
+        """
         deadline = time.monotonic() + timeout
+        sock_timeout = self._sock.gettimeout()
+        longest = threading.TIMEOUT_MAX if sock_timeout is None else sock_timeout / 2
         while True:
-            state = self.poll(job_id)
-            if state["status"] == "done":
-                return self.fetch(job_id)
-            if state["status"] == "failed":
-                raise DispatchError(state.get("error", "job failed"))
-            if time.monotonic() > deadline:
+            step = min(max(0.0, deadline - time.monotonic()), longest)
+            reply = self._checked({"op": "wait", "job_id": job_id, "timeout": step})
+            if reply["status"] == "done":
+                return _result_value(reply["result"])
+            if not time.monotonic() < deadline:  # a NaN timeout has expired too
                 raise DispatchError(f"timed out waiting for {job_id}")
-            time.sleep(interval)
 
     def shutdown_server(self) -> None:
         self._checked({"op": "shutdown"})
+
+
+def _result_value(result: dict):
+    return result["value"] if "value" in result else result["counts"]

@@ -9,6 +9,12 @@ Requests are objects with an ``op`` field:
   "running" | "done" | "failed", ["error": text]}``
 * ``{"op": "fetch", "job_id": id}`` -> ``{"ok": true, "result": {"value":
   x} | {"counts": {...}}}``
+* ``{"op": "wait", "job_id": id, "timeout": s}`` blocks until the job
+  finishes or ``s`` seconds (a finite number >= 0) pass.  A done job gives
+  ``{"ok": true, "status": "done", "result": ...}`` with the ``result`` that
+  ``fetch`` returns, a failed job the error reply ``fetch`` gives, and a
+  timeout ``{"ok": true, "status": "queued" | "running"}``.  Only the
+  waiting connection blocks; ``"timeout": 0`` answers at once, like ``poll``.
 * ``{"op": "shutdown"}`` -> ``{"ok": true}`` and the server drains its
   queue and stops.
 

@@ -2,15 +2,19 @@
 
 Connections are handled concurrently; jobs enter a FIFO queue drained by a
 worker pool.  Results are immutable once written, so repeated fetches are
-idempotent and job-level behavior is linearizable.  ``stop(drain=True)``
+idempotent (until ``MAX_JOBS`` later finished jobs evict the job) and
+job-level behavior is linearizable.  ``stop(drain=True)``
 (or the ``shutdown`` op) stops accepting connections, finishes every
-queued job, then closes.
+queued job, then closes.  A ``wait`` request blocks only its own
+connection's handler thread, on the job's ``done_event``.
 """
 
 from __future__ import annotations
 
+import math
 import socketserver
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,6 +36,12 @@ class _Job:
 # and its connection is closed, since the rest of that line cannot be told
 # apart from the next request; a client can never make the server buffer more.
 MAX_REQUEST_BYTES = 1 << 22
+
+# Most finished (done or failed) jobs the server keeps.  Each submit evicts the
+# jobs that finished first beyond this many, so the job table stays bounded
+# however long the server runs; queued and running jobs are never evicted.  A
+# request naming an evicted job gets "unknown job".
+MAX_JOBS = 10_000
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -84,6 +94,7 @@ class DispatchServer:
         self._tcp.dispatch = self  # type: ignore[attr-defined]
         self._pool = ThreadPoolExecutor(max_workers=workers)
         self._jobs: dict[str, _Job] = {}
+        self._finished: deque[str] = deque()  # ids of finished jobs, oldest first
         self._lock = threading.Lock()
         self._counter = 0
         self._accepting = True
@@ -137,6 +148,8 @@ class DispatchServer:
             return self._op_poll(request)
         if op == "fetch":
             return self._op_fetch(request)
+        if op == "wait":
+            return self._op_wait(request)
         if op == "shutdown":
             threading.Thread(target=self.stop, kwargs={"drain": True}, daemon=True).start()
             return {"ok": True}
@@ -162,14 +175,22 @@ class DispatchServer:
             self._counter += 1
             job = _Job(f"job-{self._counter}")
             self._jobs[job.job_id] = job
+            while len(self._finished) > MAX_JOBS:
+                del self._jobs[self._finished.popleft()]
         try:
             self._pool.submit(self._run_job, job, circuit, observable, mode)
         except RuntimeError:  # pool already draining: the job is not lost
             job.status = "failed"
             job.error = "server is shutting down"
-            job.done_event.set()
+            self._finish(job)
             return {"ok": False, "error": job.error}
         return {"ok": True, "job_id": job.job_id}
+
+    def _finish(self, job: _Job) -> None:
+        """Record ``job`` (status already final) as finished and wake its waiters."""
+        with self._lock:
+            self._finished.append(job.job_id)
+        job.done_event.set()
 
     def _run_job(self, job: _Job, circuit_text: str, observable, mode: dict) -> None:
         job.status = "running"
@@ -192,7 +213,7 @@ class DispatchServer:
             job.error = str(exc)
             job.status = "failed"
         finally:
-            job.done_event.set()
+            self._finish(job)
 
     def _find_job(self, request: dict) -> _Job | None:
         job_id = request.get("job_id")
@@ -217,6 +238,21 @@ class DispatchServer:
         if job.status != "done":
             return {"ok": False, "error": "job not done"}
         return {"ok": True, "result": job.result}
+
+    def _op_wait(self, request: dict) -> dict:
+        job = self._find_job(request)
+        if job is None:
+            return {"ok": False, "error": "unknown job"}
+        timeout = request.get("timeout")
+        if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+                or not 0 <= timeout < math.inf):
+            return {"ok": False, "error": "wait needs a finite number timeout >= 0"}
+        job.done_event.wait(min(timeout, threading.TIMEOUT_MAX))
+        if job.status == "failed":
+            return {"ok": False, "error": job.error or "job failed"}
+        if job.status == "done":
+            return {"ok": True, "status": "done", "result": job.result}
+        return {"ok": True, "status": job.status}
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, workers: int = 2) -> DispatchServer:

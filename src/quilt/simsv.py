@@ -376,18 +376,16 @@ def sample(state: StateVector, shots: int, seed: int | None = None) -> dict[str,
     Keys are little-endian: character ``i`` is the value of qubit ``i``.
     Keys appear in ascending basis-index order.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise SimulationError(f"shots must be an integer >= 1, got {shots!r}")
+    if (isinstance(shots, bool) or not isinstance(shots, (int, np.integer))
+            or not 1 <= shots < 2**63):
+        raise SimulationError(f"shots must be an integer in [1, 2**63), got {shots!r}")
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    cdf = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.minimum(idx, probs.size - 1)
-    values, cnts = np.unique(idx, return_counts=True)
-    n = state.n_qubits
-    return {
-        "".join(str((int(v) >> q) & 1) for q in range(n)): int(c)
-        for v, c in zip(values, cnts)
-    }
+    support = np.flatnonzero(probs)
+    weights = probs[support]
+    # One multinomial draw over the nonzero bins: memory grows with 2**n, not
+    # with ``shots``, and any remainder lands on a bin of nonzero probability.
+    cnts = np.random.default_rng(seed).multinomial(shots, weights / weights.sum())
+    hit = cnts > 0
+    width = f"0{state.n_qubits}b"
+    return {format(v, width)[::-1]: c
+            for v, c in zip(support[hit].tolist(), cnts[hit].tolist())}

@@ -214,3 +214,313 @@ def test_submit_with_measures_in_circuit(server):
         counts = client.wait(job)
     assert set(counts) <= {"00", "11"}
     assert sum(counts.values()) == 100
+
+
+# blocking wait ------------------------------------------------------------------
+
+ZZ = PauliSum([(1.0, "ZZ")])
+
+
+@pytest.fixture
+def gated_server():
+    """One worker that holds every job in "queued" until ``gate`` is set."""
+    srv = DispatchServer("127.0.0.1", 0, workers=1)
+    gate = threading.Event()
+    run_job = srv._run_job
+
+    def gated(*args):
+        gate.wait(30)
+        run_job(*args)
+
+    srv._run_job = gated
+    srv.start()
+    yield srv, gate
+    gate.set()
+    srv.stop(drain=True)
+
+
+class RawConnection:
+    """A socket speaking the wire protocol line by line, bypassing the client."""
+
+    def __init__(self, srv):
+        self.sock = socket.create_connection(srv.address, timeout=20)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, payload):
+        line = payload if isinstance(payload, bytes) else json.dumps(payload).encode() + b"\n"
+        self.sock.sendall(line)
+
+    def receive(self) -> dict:
+        return json.loads(self.file.readline())
+
+    def request(self, payload) -> dict:
+        self.send(payload)
+        return self.receive()
+
+    def close(self):
+        self.file.close()
+        self.sock.close()
+
+
+@pytest.fixture
+def raw_for():
+    opened = []
+
+    def connect(srv):
+        opened.append(RawConnection(srv))
+        return opened[-1]
+
+    yield connect
+    for conn in opened:
+        conn.close()
+
+
+def poll_then_fetch(conn, job_id):
+    """What ``wait`` replaced: poll until the job finishes, then fetch."""
+    while conn.request({"op": "poll", "job_id": job_id})["status"] not in ("done", "failed"):
+        time.sleep(0.005)
+    reply = conn.request({"op": "fetch", "job_id": job_id})
+    if not reply["ok"]:
+        return ("error", reply["error"])
+    result = reply["result"]
+    return ("result", result["value"] if "value" in result else result["counts"])
+
+
+@pytest.mark.parametrize("circuit, observable, mode", [
+    (bell_circuit(), PauliSum([(1.0, "ZZ"), (0.5, "XX"), (-0.25, "YY")]), {}),
+    (Circuit(3, (h(0), cx(0, 1), h(2))), PauliSum([(1.0, "ZZZ")]),
+     {"mode": "shots", "shots": 5000, "seed": 11}),
+    ("OPENQASM 2.0; qreg q[2]; cx q[0],q[5];", ZZ, {}),
+    (bell_circuit(), PauliSum([(1.0, "ZZZ")]), {}),
+])
+def test_wait_matches_poll_then_fetch(server, raw_for, circuit, observable, mode):
+    conn = raw_for(server)
+    with client_for(server) as client:
+        job = client.submit(circuit, observable, **mode)
+        try:
+            got = ("result", client.wait(job))
+        except DispatchError as exc:
+            got = ("error", str(exc))
+    assert got == poll_then_fetch(conn, job)
+
+
+def record_requests(srv) -> list:
+    """Make ``srv`` log every request line it handles; returns the log."""
+    log = []
+    handle = srv.handle_request_line
+
+    def logged(line):
+        log.append(json.loads(line))
+        return handle(line)
+
+    srv.handle_request_line = logged
+    return log
+
+
+def test_wait_sends_one_request_for_a_job_that_finishes_in_time(server):
+    log = record_requests(server)
+    with client_for(server) as client:
+        client.wait(client.submit(bell_circuit(), ZZ))
+        client.wait(client.submit(bell_circuit(), ZZ, mode="shots", shots=100, seed=2))
+    assert [request["op"] for request in log] == ["submit", "wait", "submit", "wait"]
+
+
+def test_wait_times_out_with_the_status_and_no_result(gated_server, raw_for):
+    srv, gate = gated_server
+    conn = raw_for(srv)
+    with client_for(srv) as client:
+        job = client.submit(bell_circuit(), ZZ)
+        poll = conn.request({"op": "poll", "job_id": job})
+        assert poll == {"ok": True, "status": "queued"}
+        assert conn.request({"op": "wait", "job_id": job, "timeout": 0}) == poll
+        assert conn.request({"op": "wait", "job_id": job, "timeout": 0.05}) == poll
+        for timeout in (0.05, -1.0, float("nan")):
+            with pytest.raises(DispatchError, match="timed out"):
+                client.wait(job, timeout=timeout)
+        # a huge finite timeout is clamped, not an OverflowError, and the
+        # reply comes as soon as the job is done
+        conn.send({"op": "wait", "job_id": job, "timeout": 1e300})
+        gate.set()
+        done = conn.receive()
+        assert done["ok"] and done["status"] == "done"
+        assert done["result"] == conn.request({"op": "fetch", "job_id": job})["result"]
+        assert conn.request({"op": "wait", "job_id": job, "timeout": 0}) == done
+        assert client.wait(job, timeout=0) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_wait_longer_than_the_socket_timeout_keeps_the_connection_in_step(gated_server):
+    srv, gate = gated_server
+    log = record_requests(srv)
+    host, port = srv.address
+    with DispatchClient(host, port, timeout=0.2) as client:
+        job = client.submit(bell_circuit(), ZZ)
+        with pytest.raises(DispatchError, match="timed out"):
+            client.wait(job, timeout=0.5)  # each request blocks <= 0.1 s
+        waits = [request["timeout"] for request in log if request["op"] == "wait"]
+        assert len(waits) >= 3 and max(waits) <= 0.1
+        gate.set()
+        assert client.wait(job) == pytest.approx(1.0, abs=1e-10)
+        assert client.poll(job) == {"status": "done"}
+
+
+@pytest.mark.parametrize("timeout", [b"-1", b"-0.5", b"NaN", b"Infinity", b"-Infinity",
+                                     b"1e400", b"true", b"false", b'"1"', b"null", b"[1]"])
+def test_wait_rejects_a_bad_timeout_and_keeps_the_connection(server, raw_for, timeout):
+    with client_for(server) as client:
+        job = client.submit(bell_circuit(), ZZ)
+        client.wait(job)
+    conn = raw_for(server)
+    reply = conn.request(b'{"op":"wait","job_id":"%s","timeout":%s}\n' % (job.encode(), timeout))
+    assert reply["ok"] is False and "timeout" in reply["error"]
+    assert conn.request({"op": "wait", "job_id": job})["ok"] is False  # no timeout at all
+    assert conn.request({"op": "poll", "job_id": job}) == {"ok": True, "status": "done"}
+
+
+def test_wait_on_an_unknown_job(server, raw_for):
+    reply = raw_for(server).request({"op": "wait", "job_id": "job-999", "timeout": 1})
+    assert reply == {"ok": False, "error": "unknown job"}
+    with client_for(server) as client:
+        with pytest.raises(DispatchError, match="unknown job"):
+            client.wait("job-999")
+
+
+def test_stop_drains_a_queued_job_a_client_is_waiting_on(gated_server):
+    srv, gate = gated_server
+    waiting = threading.Event()
+    op_wait = srv._op_wait
+
+    def watched(request):
+        waiting.set()
+        return op_wait(request)
+
+    srv._op_wait = watched
+    with client_for(srv) as client:
+        client.submit(bell_circuit(), ZZ)  # holds the only worker at the gate
+        queued = client.submit(bell_circuit(), PauliSum([(1.0, "XX")]))
+    outcome = {}
+
+    def wait_for_it():
+        try:
+            with client_for(srv) as other:
+                outcome["value"] = other.wait(queued)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    waiter = threading.Thread(target=wait_for_it)
+    waiter.start()
+    assert waiting.wait(10)
+    stopper = threading.Thread(target=srv.stop, kwargs={"drain": True})
+    stopper.start()
+    deadline = time.monotonic() + 10
+    while srv._accepting and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert not srv._accepting
+    gate.set()
+    stopper.join(20)
+    waiter.join(20)
+    assert not stopper.is_alive() and not waiter.is_alive()
+    assert srv.wait_until_stopped(timeout=0)
+    assert outcome == {"value": pytest.approx(1.0, abs=1e-10)}
+
+
+# bounded job table --------------------------------------------------------------
+
+
+def test_job_table_evicts_the_oldest_finished_jobs(server, raw_for, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_JOBS", 3)
+    conn = raw_for(server)
+    with client_for(server) as client:
+        jobs = []
+        for _ in range(6):  # one at a time, so jobs finish in submission order
+            jobs.append(client.submit(bell_circuit(), ZZ))
+            client.wait(jobs[-1])
+    for job in jobs[:2]:
+        for op in ({"op": "poll"}, {"op": "fetch"}, {"op": "wait", "timeout": 0}):
+            assert conn.request({**op, "job_id": job}) == {"ok": False, "error": "unknown job"}
+    for job in jobs[2:]:
+        assert conn.request({"op": "poll", "job_id": job}) == {"ok": True, "status": "done"}
+
+
+def test_job_table_never_evicts_queued_jobs(gated_server, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_JOBS", 1)
+    srv, gate = gated_server
+    with client_for(srv) as client:
+        jobs = [client.submit(bell_circuit(), ZZ) for _ in range(4)]
+        assert [client.poll(job)["status"] for job in jobs] == ["queued"] * 4
+        gate.set()
+        assert [client.wait(job) for job in jobs] == [pytest.approx(1.0, abs=1e-10)] * 4
+        client.wait(client.submit(bell_circuit(), ZZ))  # evicts all but one finished job
+        for job in jobs[:3]:
+            with pytest.raises(DispatchError, match="unknown job"):
+                client.poll(job)
+        assert client.poll(jobs[3])["status"] == "done"
+
+
+def test_job_table_stays_consistent_under_concurrent_submits_and_waits(monkeypatch):
+    import sys
+
+    monkeypatch.setattr(server_module, "MAX_JOBS", 5)
+    srv = DispatchServer("127.0.0.1", 0, workers=4).start()
+    errors = []
+
+    def client_loop(obs, expected):
+        try:
+            with client_for(srv) as client:
+                for _ in range(12):
+                    value = client.wait(client.submit(bell_circuit(), PauliSum([(1.0, obs)])))
+                    if abs(value - expected) > 1e-10:
+                        errors.append((obs, value))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client_loop, args=pair)
+                   for pair in [("ZZ", 1.0), ("XX", 1.0), ("ZI", 0.0), ("YY", -1.0)] * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        srv.stop(drain=True)
+    assert errors == []
+    # every job is finished; each is recorded once and evictions left no strays
+    assert len(srv._finished) == len(set(srv._finished))
+    assert set(srv._finished) == set(srv._jobs)
+    assert server_module.MAX_JOBS <= len(srv._jobs) <= server_module.MAX_JOBS + len(threads)
+
+
+# lazy package exports -------------------------------------------------------------
+
+
+def test_importing_the_scheduler_loads_neither_server_nor_parser():
+    import os
+    import subprocess
+    import sys
+
+    import quilt
+
+    src = os.path.dirname(os.path.dirname(quilt.__file__))
+    code = ("import sys, quilt.dispatch.sched; "
+            "print([m for m in ('quilt.dispatch.server', 'quilt.dispatch.client', "
+            "'quilt.qasm') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_every_dispatch_export_resolves():
+    import quilt.dispatch as dispatch
+    from quilt.dispatch import client, protocol, sched
+
+    for name in dispatch.__all__:
+        value = getattr(dispatch, name)
+        home = next(m for m in (client, server_module, protocol, sched) if hasattr(m, name))
+        assert value is getattr(home, name)
+    with pytest.raises(AttributeError):
+        dispatch.no_such_name

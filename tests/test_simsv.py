@@ -181,6 +181,46 @@ def test_sample_bitstring_orientation():
     assert sample(st, 10, seed=1) == {"10": 10}
 
 
+def test_sample_huge_shot_count_allocates_with_the_state_not_the_shots():
+    import tracemalloc
+
+    st = simulate(Circuit(3, (h(0), cx(0, 1), h(2))))
+    tracemalloc.start()
+    try:
+        counts = sample(st, 10**12, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**12
+    assert set(counts) == {"000", "110", "001", "111"}
+    assert peak < 1 << 20  # one float per shot would be 8 TB
+
+
+def test_sample_keys_ascend_and_counts_follow_the_probabilities():
+    rng = np.random.default_rng(8)
+    amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+    amps[rng.choice(64, size=20, replace=False)] = 0.0
+    st = StateVector(6, amps / np.linalg.norm(amps))
+    shots = 200_000
+    counts = sample(st, shots, seed=9)
+    indices = [sum(1 << q for q, ch in enumerate(key) if ch == "1") for key in counts]
+    assert indices == sorted(indices)
+    probs = st.probabilities()
+    assert all(probs[i] > 0 for i in indices)
+    observed = np.zeros(64)
+    observed[indices] = list(counts.values())
+    sigma = np.sqrt(shots * probs * (1 - probs))
+    assert np.all(np.abs(observed - shots * probs) <= 5 * sigma + 1)
+    few = sample(st, 5, seed=3)
+    assert sum(few.values()) == 5 and all(c > 0 for c in few.values())
+
+
+@pytest.mark.parametrize("shots", [2**63, 10**30])
+def test_sample_rejects_shot_counts_beyond_int64(shots):
+    with pytest.raises(SimulationError, match="integer"):
+        sample(simulate(Circuit(1)), shots)
+
+
 # parametric circuits simulated with bindings ---------------------------------
 
 
