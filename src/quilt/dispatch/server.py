@@ -2,7 +2,7 @@
 
 Connections are handled concurrently; jobs enter a FIFO queue drained by a
 worker pool.  Results are immutable once written, so repeated fetches are
-idempotent (until ``MAX_JOBS`` later finished jobs evict the job) and
+idempotent (until later finished jobs evict the job, see ``MAX_JOBS``) and
 job-level behavior is linearizable.  ``stop(drain=True)``
 (or the ``shutdown`` op) stops accepting connections, finishes every
 queued job, then closes.  A ``wait`` request blocks only its own
@@ -11,10 +11,10 @@ connection's handler thread, on the job's ``done_event``.
 
 from __future__ import annotations
 
+import heapq
 import math
 import socketserver
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,6 +29,8 @@ class _Job:
     result: dict | None = None
     error: str | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
+    finished: int = -1  # position in finish order, once finished
+    delivered: bool = False  # a fetch or wait has answered with the outcome
 
 
 # Longest request line the server reads, newline included: 4 MiB holds the
@@ -37,11 +39,19 @@ class _Job:
 # apart from the next request; a client can never make the server buffer more.
 MAX_REQUEST_BYTES = 1 << 22
 
-# Most finished (done or failed) jobs the server keeps.  Each submit evicts the
-# jobs that finished first beyond this many, so the job table stays bounded
-# however long the server runs; queued and running jobs are never evicted.  A
-# request naming an evicted job gets "unknown job".
+# Most finished (done or failed) jobs the server keeps.  Each submit evicts
+# the jobs beyond this many whose outcome a fetch or wait has returned
+# ("delivered"), oldest first, so the job table stays bounded however long the
+# server runs.  An undelivered job is evicted, oldest first, only while more
+# than MAX_UNDELIVERED of them are held: a client that asks for its result gets
+# it, however many other clients' results are waiting to be asked for.  Queued
+# and running jobs are never evicted.  A request naming an evicted job gets
+# "unknown job".
 MAX_JOBS = 10_000
+MAX_UNDELIVERED = 10_000
+
+# How often the accept loop checks for ``stop``: the longest ``stop`` waits.
+POLL_INTERVAL_S = 0.05
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -94,9 +104,11 @@ class DispatchServer:
         self._tcp.dispatch = self  # type: ignore[attr-defined]
         self._pool = ThreadPoolExecutor(max_workers=workers)
         self._jobs: dict[str, _Job] = {}
-        self._finished: deque[str] = deque()  # ids of finished jobs, oldest first
+        self._finished: dict[str, _Job] = {}  # finished jobs by id, in finish order
+        self._delivered: list[tuple[int, str]] = []  # heap: (finish order, id)
         self._lock = threading.Lock()
         self._counter = 0
+        self._finish_count = 0
         self._accepting = True
         self._serve_thread: threading.Thread | None = None
         self._stopped = threading.Event()
@@ -109,7 +121,8 @@ class DispatchServer:
 
     def start(self) -> "DispatchServer":
         self._serve_thread = threading.Thread(
-            target=self._tcp.serve_forever, name="quilt-dispatch", daemon=True
+            target=self._tcp.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S},
+            name="quilt-dispatch", daemon=True,
         )
         self._serve_thread.start()
         return self
@@ -175,22 +188,42 @@ class DispatchServer:
             self._counter += 1
             job = _Job(f"job-{self._counter}")
             self._jobs[job.job_id] = job
-            while len(self._finished) > MAX_JOBS:
-                del self._jobs[self._finished.popleft()]
+            while len(self._finished) > MAX_JOBS and self._delivered:
+                self._evict(heapq.heappop(self._delivered)[1])
+            # with no delivered job left, every finished job is undelivered
+            while not self._delivered and len(self._finished) > MAX_UNDELIVERED:
+                self._evict(next(iter(self._finished)))
         try:
             self._pool.submit(self._run_job, job, circuit, observable, mode)
         except RuntimeError:  # pool already draining: the job is not lost
             job.status = "failed"
             job.error = "server is shutting down"
             self._finish(job)
-            return {"ok": False, "error": job.error}
+            return self._deliver(job, {"ok": False, "error": job.error})
         return {"ok": True, "job_id": job.job_id}
+
+    def _evict(self, job_id: str) -> None:
+        del self._jobs[job_id], self._finished[job_id]
 
     def _finish(self, job: _Job) -> None:
         """Record ``job`` (status already final) as finished and wake its waiters."""
         with self._lock:
-            self._finished.append(job.job_id)
+            job.finished = self._finish_count
+            self._finish_count += 1
+            self._finished[job.job_id] = job
+            if job.delivered:  # a fetch can answer once the status is final
+                heapq.heappush(self._delivered, (job.finished, job.job_id))
         job.done_event.set()
+
+    def _deliver(self, job: _Job, reply: dict) -> dict:
+        """Mark ``job`` delivered (``reply`` carries its outcome) and return ``reply``."""
+        with self._lock:
+            if not job.delivered:
+                job.delivered = True
+                # a job not recorded yet is pushed by _finish; an evicted one is gone
+                if job.job_id in self._finished:
+                    heapq.heappush(self._delivered, (job.finished, job.job_id))
+        return reply
 
     def _run_job(self, job: _Job, circuit_text: str, observable, mode: dict) -> None:
         job.status = "running"
@@ -215,15 +248,19 @@ class DispatchServer:
         finally:
             self._finish(job)
 
-    def _find_job(self, request: dict) -> _Job | None:
+    def _find_job(self, request: dict) -> _Job | dict:
+        """The job ``request`` names, or the error reply to send instead."""
         job_id = request.get("job_id")
+        if not isinstance(job_id, str):
+            return {"ok": False, "error": "job_id must be a string"}
         with self._lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+        return {"ok": False, "error": "unknown job"} if job is None else job
 
     def _op_poll(self, request: dict) -> dict:
         job = self._find_job(request)
-        if job is None:
-            return {"ok": False, "error": "unknown job"}
+        if isinstance(job, dict):
+            return job
         reply = {"ok": True, "status": job.status}
         if job.error is not None:
             reply["error"] = job.error
@@ -231,27 +268,27 @@ class DispatchServer:
 
     def _op_fetch(self, request: dict) -> dict:
         job = self._find_job(request)
-        if job is None:
-            return {"ok": False, "error": "unknown job"}
+        if isinstance(job, dict):
+            return job
         if job.status == "failed":
-            return {"ok": False, "error": job.error or "job failed"}
+            return self._deliver(job, {"ok": False, "error": job.error or "job failed"})
         if job.status != "done":
             return {"ok": False, "error": "job not done"}
-        return {"ok": True, "result": job.result}
+        return self._deliver(job, {"ok": True, "result": job.result})
 
     def _op_wait(self, request: dict) -> dict:
         job = self._find_job(request)
-        if job is None:
-            return {"ok": False, "error": "unknown job"}
+        if isinstance(job, dict):
+            return job
         timeout = request.get("timeout")
         if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
                 or not 0 <= timeout < math.inf):
             return {"ok": False, "error": "wait needs a finite number timeout >= 0"}
         job.done_event.wait(min(timeout, threading.TIMEOUT_MAX))
         if job.status == "failed":
-            return {"ok": False, "error": job.error or "job failed"}
+            return self._deliver(job, {"ok": False, "error": job.error or "job failed"})
         if job.status == "done":
-            return {"ok": True, "status": "done", "result": job.result}
+            return self._deliver(job, {"ok": True, "status": "done", "result": job.result})
         return {"ok": True, "status": job.status}
 
 

@@ -2,30 +2,34 @@
 
 Gates are applied by in-place stride iteration over amplitude pairs (no
 full-matrix construction), which keeps 20+ qubits workable on a desk
-machine.  Sampling uses numpy's seeded PCG64 generator with inverse-CDF
-lookup over the fixed little-endian amplitude ordering, so counts are
+machine.  Sampling draws one multinomial from numpy's seeded PCG64
+generator over the fixed little-endian amplitude ordering, so counts are
 reproducible for a given seed.
 
 One compiler (:func:`_compile`) turns a gate list into batch ops for both
 the lowering below and knitting's fragments: each maximal run of diagonal
-gates, bound or symbolic, becomes one phase-vector multiply, and each other
-1q gate one 2x2 kernel call.  A parametric circuit simulated with
-``bindings`` is lowered once and the lowering is kept on the circuit
-(:attr:`Circuit.memo`): the gates before the first symbolic one are applied
-to |0...0> once, and the rest are compiled, so repeated evaluations
-(variational optimizers) build no gates.  Pauli strings are evaluated from
-their bit masks without applying gates to a state copy.
+gates, bound or symbolic, becomes one phase-vector multiply; each maximal
+run of symbolic RX/RY gates on distinct qubits becomes one layer, a phase
+vector between two basis changes of dense matrices on at most four adjacent
+qubits each; and each other 1q gate one 2x2 kernel call.  A parametric
+circuit simulated with ``bindings`` is lowered once and the lowering is
+kept on the circuit (:attr:`Circuit.memo`): the gates before the first
+symbolic one are applied to |0...0> once, and the rest are compiled, so
+repeated evaluations (variational optimizers) build no gates.  Pauli
+strings are evaluated from their bit masks without applying gates to a
+state copy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, Gate, GateKind, PauliString, PauliSum, rotation_unitary
+from .circuit import Circuit, Gate, GateKind, PauliString, PauliSum
 
 MAX_QUBITS = 24
 
@@ -33,6 +37,12 @@ MAX_QUBITS = 24
 _DIAG_1Q = {GateKind.Z: np.pi, GateKind.S: np.pi / 2,
             GateKind.SDG: -np.pi / 2, GateKind.T: np.pi / 4}
 _Y_PHASE = (1.0 + 0j, 1j, -1.0 + 0j, -1j)  # i**n_y
+
+# The basis B of each symbolic rotation's axis, B Z B^dagger = X or Y, and the
+# most adjacent qubits whose basis change is one dense matrix.
+_TO_AXIS = {GateKind.RX: np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+            GateKind.RY: np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)}
+_CHUNK_QUBITS = 4
 
 
 class SimulationError(ValueError):
@@ -138,9 +148,14 @@ def _start_amps(n_qubits: int, initial: StateVector | None) -> np.ndarray:
 
 def _parity_signs(n_qubits: int, z_mask: int) -> np.ndarray:
     """(-1)**|i & z_mask| for every basis index i < 2**n_qubits."""
-    signs = np.ones(1)
-    for q in range(n_qubits):
-        signs = np.concatenate((signs, -signs if (z_mask >> q) & 1 else signs))
+    signs = np.empty(1 << n_qubits)
+    signs[0] = 1.0
+    for q in range(n_qubits):  # signs[:2**q] is done; qubit q doubles it in place
+        low, high = signs[:1 << q], signs[1 << q:2 << q]
+        if (z_mask >> q) & 1:
+            np.negative(low, out=high)
+        else:
+            high[...] = low
     return signs
 
 
@@ -170,8 +185,14 @@ def _compile(gates, n_qubits: int) -> list[tuple]:
       ``fixed * exp(-i/2 * sum_s value_s * generator_s)``, where ``fixed``
       (or None) is the run's bound part, exponentiated here, and each
       symbol's generator is a real vector that includes ``param_scale``;
+    * ``("layer", chunks, phase)`` per maximal run of symbolic RX/RY gates
+      on distinct qubits (a repeated qubit starts the next layer).  RX(t)
+      is ``H RZ(t) H`` and RY(t) is ``(S H) RZ(t) (S H)^dagger``, so the
+      layer is a basis change to Z, the "phase" op of its RZ(t) gates, and
+      the change back.  The basis change acts on runs of at most
+      ``_CHUNK_QUBITS`` adjacent layer qubits: each chunk is ``(lo, to_z,
+      back)``, two dense matrices over qubits ``lo, lo+1, ...``;
     * ``("single", q, 2x2)`` per other bound 1q gate;
-    * ``("rotation", gate)`` per symbolic RX/RY;
     * ``("gate", gate)`` per other gate, applied row by row (the numpy
       multi-qubit kernels take n from the array size).
 
@@ -181,42 +202,69 @@ def _compile(gates, n_qubits: int) -> list[tuple]:
     ops: list[tuple] = []
     signs: dict[int, np.ndarray] = {}  # each parity vector, built once
     run: dict = {}  # symbol (None: the bound gates) -> {mask: weight}
+    layer: dict[int, Gate] = {}  # qubit -> the symbolic RX/RY on it
 
-    def end_run():
+    def phase_op(weights: dict) -> tuple:
         vectors = {}
-        for name, weights in run.items():
-            for m in weights.keys() - signs.keys():
+        for name, by_mask in weights.items():
+            for m in by_mask.keys() - signs.keys():
                 signs[m] = _parity_signs(n_qubits, m)
-            vectors[name] = sum(w * signs[m] for m, w in weights.items())
+            vectors[name] = sum(w * signs[m] for m, w in by_mask.items())
         fixed = np.exp(-0.5j * vectors.pop(None)) if None in vectors else None
-        ops.append(("phase", fixed, tuple(vectors.items())))
-        run.clear()
+        return ("phase", fixed, tuple(vectors.items()))
+
+    def layer_op() -> tuple:
+        weights: dict = {}
+        for q, g in layer.items():
+            weights.setdefault(g.param, {})[1 << q] = g.param_scale
+        chunks, qubits = [], sorted(layer)
+        while qubits:
+            k = 1
+            while (k < min(_CHUNK_QUBITS, len(qubits))
+                   and qubits[k] == qubits[0] + k):
+                k += 1
+            back = functools.reduce(
+                np.kron, [_TO_AXIS[layer[q].kind] for q in reversed(qubits[:k])])
+            chunks.append((qubits[0], np.ascontiguousarray(back.conj().T), back))
+            qubits = qubits[k:]
+        return ("layer", tuple(chunks), phase_op(weights))
+
+    def end_runs():
+        if run:
+            ops.append(phase_op(run))
+            run.clear()
+        if layer:
+            ops.append(layer_op())
+            layer.clear()
 
     for gate in gates:
-        weights = _phase_weights(gate) if isinstance(gate, Gate) else None
+        is_gate = isinstance(gate, Gate)
+        weights = _phase_weights(gate) if is_gate else None
         if weights is not None:
+            if layer:
+                end_runs()
             acc = run.setdefault(None if gate.is_bound else gate.param, {})
             for m, w in weights.items():
                 acc[m] = acc.get(m, 0.0) + w
-            continue
-        if run:
-            end_run()
-        if not isinstance(gate, Gate):
-            ops.append(gate)
-        elif not gate.is_bound:
-            ops.append(("rotation", gate))
-        elif len(gate.qubits) > 1:
-            ops.append(("gate", gate))
-        elif gate.kind is not GateKind.MEASURE:
-            ops.append(("single", gate.qubits[0], gate.unitary()))
-    if run:
-        end_run()
+        elif is_gate and not gate.is_bound:  # a symbolic RX or RY
+            if run or gate.qubits[0] in layer:
+                end_runs()
+            layer[gate.qubits[0]] = gate
+        else:
+            end_runs()
+            if not is_gate:
+                ops.append(gate)
+            elif len(gate.qubits) > 1:
+                ops.append(("gate", gate))
+            elif gate.kind is not GateKind.MEASURE:
+                ops.append(("single", gate.qubits[0], gate.unitary()))
+    end_runs()
     return ops
 
 
 def _apply_op(op, amps: np.ndarray, values: Mapping[str, float] | None = None) -> None:
     """Apply one :func:`_compile` op in place to ``amps``, one state or a 2-D
-    batch; ``values`` binds the symbols of "phase" and "rotation" ops."""
+    batch; ``values`` binds the symbols of "phase" and "layer" ops."""
     kind = op[0]
     if kind == "phase":
         _, fixed, generators = op
@@ -224,15 +272,27 @@ def _apply_op(op, amps: np.ndarray, values: Mapping[str, float] | None = None) -
             amps *= np.exp(-0.5j * sum(values[s] * gen for s, gen in generators))
         if fixed is not None:
             amps *= fixed
+    elif kind == "layer":
+        _, chunks, phase = op
+        for lo, to_z, _ in chunks:
+            _apply_chunk(amps, lo, to_z)
+        _apply_op(phase, amps, values)
+        for lo, _, back in chunks:
+            _apply_chunk(amps, lo, back)
     elif kind == "single":
         kernels.apply_single(amps.reshape(-1), op[1], op[2])
-    elif kind == "rotation":
-        g = op[1]
-        u = rotation_unitary(g.kind, g.param_scale * values[g.param])
-        kernels.apply_single(amps.reshape(-1), g.qubits[0], u)
     else:
         for row in amps.reshape(-1, amps.shape[-1]):
             _apply_gate(row, op[1])
+
+
+def _apply_chunk(amps: np.ndarray, lo: int, m: np.ndarray) -> None:
+    """Apply the dense ``m`` in place to qubits ``lo, lo+1, ...`` of one state
+    or a 2-D batch.  A real ``m`` (an RX-only chunk) acts on the amplitudes
+    viewed as (real, imaginary) float pairs, half the arithmetic."""
+    x = amps.view(m.dtype)
+    view = x.reshape(-1, len(m), (x.size // amps.size) << lo)
+    view[...] = np.matmul(m, view)
 
 
 class _Lowered:

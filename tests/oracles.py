@@ -189,6 +189,15 @@ def statevector_oracle(circuit, initial=None) -> np.ndarray:
     return psi
 
 
+def parity_signs(n_qubits: int, z_mask: int) -> np.ndarray:
+    """(-1)**|i & z_mask| for every i < 2**n_qubits, one concatenation per
+    qubit (``simsv._parity_signs`` before it filled one array in place)."""
+    signs = np.ones(1)
+    for q in range(n_qubits):
+        signs = np.concatenate((signs, -signs if (z_mask >> q) & 1 else signs))
+    return signs
+
+
 def entropies_from_statevector(psi: np.ndarray, n: int) -> np.ndarray:
     """Schmidt entropies (bits) of every bond from reduced density matrices.
 

@@ -456,6 +456,72 @@ def test_job_table_never_evicts_queued_jobs(gated_server, monkeypatch):
         assert client.poll(jobs[3])["status"] == "done"
 
 
+def finished_job(conn, deliver):
+    """Submit a Bell job on ``conn`` and return its id once it has finished,
+    its result returned by a ``wait`` if ``deliver``, else only polled."""
+    job = conn.request({"op": "submit", "circuit": emit(bell_circuit()),
+                        "observable": observable_to_json(ZZ)})["job_id"]
+    if deliver:
+        assert conn.request({"op": "wait", "job_id": job, "timeout": 20})["ok"]
+    else:  # polls never deliver
+        deadline = time.monotonic() + 20
+        while conn.request({"op": "poll", "job_id": job})["status"] != "done":
+            assert time.monotonic() < deadline
+            time.sleep(0.002)
+    return job
+
+
+def test_job_table_evicts_delivered_jobs_before_undelivered_ones(server, raw_for, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_JOBS", 2)
+    monkeypatch.setattr(server_module, "MAX_UNDELIVERED", 2)
+    conn = raw_for(server)
+
+    def known(job):
+        return conn.request({"op": "poll", "job_id": job})["ok"]
+
+    kept = [finished_job(conn, False), finished_job(conn, False)]
+    delivered = [finished_job(conn, True) for _ in range(3)]
+    last = finished_job(conn, False)
+    assert all(known(job) for job in kept + [last])
+    assert not any(known(job) for job in delivered)  # evicted first, though newer
+    # a fetch delivers too; with no delivered job left, the oldest undelivered
+    # job goes only once more than MAX_UNDELIVERED of them are held
+    assert conn.request({"op": "fetch", "job_id": last})["ok"]
+    newer = finished_job(conn, False)  # its submit evicts `last`
+    assert not known(last) and all(known(job) for job in kept + [newer])
+    finished_job(conn, False)  # three undelivered held at this submit: the oldest goes
+    assert not known(kept[0]) and known(kept[1]) and known(newer)
+
+
+def test_undelivered_results_are_kept_beyond_max_jobs(server, raw_for, monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_JOBS", 1)
+    monkeypatch.setattr(server_module, "MAX_UNDELIVERED", 3)
+    conn = raw_for(server)
+    waiting = [finished_job(conn, False) for _ in range(3)]
+    finished_job(conn, True)
+    assert all(conn.request({"op": "fetch", "job_id": job})["ok"] for job in waiting)
+
+
+@pytest.mark.parametrize("job_id", [[1], {"id": "job-1"}, 1, True, None])
+def test_a_job_id_that_is_not_a_string_gets_a_validation_error(server, raw_for, job_id):
+    conn = raw_for(server)
+    with client_for(server) as client:
+        client.wait(client.submit(bell_circuit(), ZZ))
+    for op in ({"op": "poll"}, {"op": "fetch"}, {"op": "wait", "timeout": 0}):
+        reply = conn.request({**op, "job_id": job_id})
+        assert reply == {"ok": False, "error": "job_id must be a string"}
+    assert conn.request({"op": "poll", "job_id": "job-1"}) == {"ok": True, "status": "done"}
+
+
+def test_an_idle_server_stops_promptly():
+    srv = DispatchServer("127.0.0.1", 0, workers=1).start()
+    time.sleep(0.2)  # let the accept loop settle into its wait
+    start = time.monotonic()
+    srv.stop(drain=True)
+    assert time.monotonic() - start < 0.2
+    assert srv.wait_until_stopped(timeout=0)
+
+
 def test_job_table_stays_consistent_under_concurrent_submits_and_waits(monkeypatch):
     import sys
 

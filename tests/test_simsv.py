@@ -431,6 +431,116 @@ def test_compile_builds_each_parity_vector_once(monkeypatch):
     assert [op[0] for op in ops] == ["phase", "single"] * 4
 
 
+def test_parity_signs_match_the_one_qubit_at_a_time_loop():
+    from oracles import parity_signs
+    from quilt.simsv import _parity_signs
+
+    for n in range(9):
+        for mask in range(1 << n):
+            got = _parity_signs(n, mask)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, parity_signs(n, mask)), (n, mask)
+    rng = np.random.default_rng(6)
+    for n in (12, 16):
+        for mask in [0, (1 << n) - 1] + [int(m) for m in rng.integers(1 << n, size=6)]:
+            assert np.array_equal(_parity_signs(n, mask), parity_signs(n, mask)), (n, mask)
+
+
+# symbolic RX/RY layers ----------------------------------------------------------
+
+
+def _layer_circuit(rng, n_qubits, layers):
+    """Random entangled gates, then each layer in ``layers`` (a list of qubits)
+    as symbolic RX/RY gates of random kind, symbol and ``param_scale``, with
+    random gates between the layers."""
+    from quilt.circuit import Gate, GateKind
+
+    gates = list(random_circuit(rng, n_qubits, 3 * n_qubits).gates)
+    for qubits in layers:
+        for q in qubits:
+            kind = GateKind.RX if rng.random() < 0.5 else GateKind.RY
+            gates.append(Gate(kind, (q,), str(rng.choice(["a", "b", "c"])),
+                              param_scale=float(rng.uniform(-3, 3))))
+        gates.extend(random_circuit(rng, n_qubits, 2).gates)
+    return Circuit(n_qubits, tuple(gates))
+
+
+def _assert_lowered_matches_bound(rng, c):
+    values = _random_values(rng, c)
+    ref = simulate(c.bind(values)).amps
+    assert np.max(np.abs(simulate(c, bindings=values).amps - ref)) <= 1e-12
+    init = _random_state(rng, c.n_qubits)
+    ref = simulate(c.bind(values), initial=init).amps
+    assert np.max(np.abs(simulate(c, initial=init, bindings=values).amps - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_full_layers_match_the_bound_circuit(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        _assert_lowered_matches_bound(rng, _layer_circuit(rng, n, [range(n), range(n)]))
+
+
+def test_layers_on_scattered_qubits_match_the_bound_circuit():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(2, 11))
+        layers = [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+                  for _ in range(3)]
+        _assert_lowered_matches_bound(rng, _layer_circuit(rng, n, layers))
+
+
+def test_layer_chunks_split_runs_of_adjacent_qubits():
+    from quilt.circuit import rx, ry
+    from quilt.simsv import _compile
+
+    def chunks(n, qubits):
+        (op,) = _compile([rx(q, "a") if q % 2 else ry(q, "b") for q in qubits], n)
+        assert op[0] == "layer"
+        return [(lo, len(back)) for lo, _, back in op[1]]
+
+    assert chunks(9, range(9)) == [(0, 16), (4, 16), (8, 2)]
+    assert chunks(10, [8, 0, 1, 2, 6, 5]) == [(0, 8), (5, 4), (8, 2)]
+    assert chunks(12, [3, 11, 7]) == [(3, 2), (7, 2), (11, 2)]
+
+
+def test_a_repeated_qubit_ends_the_layer():
+    from quilt.circuit import Gate, GateKind, rx, ry, rz
+    from quilt.simsv import _compile
+
+    gates = (rx(0, "a"), ry(2, "b"), Gate(GateKind.RX, (1,), "a", param_scale=0.5),
+             ry(2, "a"), rx(0, "c"),
+             rz(1, "b"), ry(1, "c"))
+    ops = _compile(gates, 3)
+    assert [op[0] for op in ops] == ["layer", "layer", "phase", "layer"]
+    assert [len(op[1][0][2]) for op in (ops[0], ops[1], ops[3])] == [8, 2, 2]
+    assert [lo for lo, _, _ in ops[1][1]] == [0, 2]
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        _assert_lowered_matches_bound(rng, Circuit(3, (h(0), cx(0, 1), h(2)) + gates))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_layer_op_on_a_batch_matches_each_row(batch):
+    from quilt.simsv import _apply_op, _compile
+
+    rng = np.random.default_rng(70 + batch)
+    for n in (1, 4, 5, 9, 10):
+        layers = [range(n), sorted(rng.choice(n, size=max(1, n // 2), replace=False))]
+        c = _layer_circuit(rng, n, layers)
+        values = _random_values(rng, c)
+        rows = np.array([_random_state(rng, n).amps for _ in range(batch)])
+        amps = rows.copy()
+        ops = _compile(c.gates, n)
+        assert "layer" in [op[0] for op in ops]
+        for op in ops:
+            _apply_op(op, amps, values)
+        bound = c.bind(values)
+        for got, row in zip(amps, rows):
+            ref = simulate(bound, initial=StateVector(n, row)).amps
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 # Pauli-string evaluator -----------------------------------------------------------
 
 
