@@ -23,14 +23,22 @@ cut RZZ per step: 36, 216 and 1296 combinations), after checking each
 knitted value against the uncut ``simulate``.  On the same chains it gives
 shots-mode shots per second, after checking that the mean of the shots lies
 within 5 standard errors of the uncut value.
+
+A fourth table times ``hhl.pauli_decompose`` on random 1- to 5-qubit
+Hermitian matrices (best of ``--repeats``): the bit-mask path against the
+one-Kronecker-matrix-per-string loop kept as
+``tests/oracles.reference_pauli_decompose``, after checking that both give
+the same labels and coefficients within 1e-12.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from quilt import kernels, knit
+from quilt import hhl, kernels, knit
 from quilt.circuit import Circuit, Gate, GateKind, PauliSum
 from quilt.maxcut import Graph, cost_hamiltonian, qaoa_ansatz
 from quilt.simsv import expectation, simulate
@@ -39,6 +47,7 @@ QAOA_ROWS = ((6, 1, 300), (9, 1, 300), (12, 1, 300), (16, 2, 30))  # (nodes, p, 
 KNIT_SITES = 12
 KNIT_CUTS = (2, 3, 4)
 KNIT_SHOTS = 2000
+PAULI_QUBITS = (1, 2, 3, 4, 5)
 
 
 def random_layers(rng, n_qubits: int, n_gates: int) -> Circuit:
@@ -135,6 +144,35 @@ def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float, float]:
     return combinations, combinations / seconds[0], KNIT_SHOTS / seconds[1]
 
 
+def time_pauli_decompose(rng, n: int, repeats: int) -> tuple[int, float, float]:
+    """(terms, Kronecker-loop seconds, mask seconds) for one random Hermitian
+    ``2**n`` x ``2**n`` matrix, best of ``repeats``."""
+    # the Kronecker loop lives with the test oracles; only this table needs them
+    tests_dir = str(Path(__file__).resolve().parents[1] / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from oracles import reference_pauli_decompose
+
+    dim = 1 << n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = a + a.conj().T
+    got, want = hhl.pauli_decompose(a), reference_pauli_decompose(a)
+    if [p.ops for _, p in got.terms] != [p.ops for _, p in want.terms]:
+        raise SystemExit(f"pauli_decompose labels differ from the reference at n = {n}")
+    worst = max(abs(c - d) for (c, _), (d, _) in zip(got.terms, want.terms))
+    if worst > 1e-12:
+        raise SystemExit(f"pauli_decompose differs from the reference by {worst:.2e}")
+    seconds = []
+    for decompose in (reference_pauli_decompose, hhl.pauli_decompose):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            decompose(a)
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+    return len(got), seconds[0], seconds[1]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, default=20)
@@ -186,6 +224,14 @@ def main() -> None:
     for n_cuts in KNIT_CUTS:
         combinations, rate, shot_rate = time_knit(knit_rng, n_cuts, args.repeats)
         print(f"{n_cuts:<6}{combinations:>13}{rate:>16.0f}{shot_rate:>10.0f}")
+
+    pauli_rng = np.random.default_rng([args.seed, 2])
+    print(f"\nPauli decomposition (random Hermitian matrix, best of {args.repeats})")
+    print(f"{'qubits':<8}{'terms':>6}{'kron ms':>10}{'masks ms':>10}{'speedup':>9}")
+    for n in PAULI_QUBITS:
+        terms, kron_s, mask_s = time_pauli_decompose(pauli_rng, n, args.repeats)
+        print(f"{n:<8}{terms:>6}{kron_s * 1e3:>10.3f}{mask_s * 1e3:>10.3f}"
+              f"{kron_s / mask_s:>8.1f}x")
 
 
 if __name__ == "__main__":

@@ -138,7 +138,10 @@ class Gate:
             raise GateError(
                 f"unitary payload shape {m.shape} does not match {len(self.qubits)} qubit(s)"
             )
-        if not np.allclose(m.conj().T @ m, np.eye(dim), atol=1e-9):
+        # accepts exactly what np.allclose(m^H m, I, atol=1e-9) accepts:
+        # |m^H m - I| <= 1e-9 + 1e-5 |I| entrywise, where NaN and inf fail
+        eye = np.eye(dim)
+        if not (np.abs(m.conj().T @ m - eye) <= 1e-9 + 1e-5 * eye).all():
             raise GateError("unitary payload is not unitary within 1e-9")
         object.__setattr__(self, "matrix", m)
 

@@ -318,7 +318,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_mc.add_argument("--trials", type=int, default=256, help="random-baseline trials")
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--jobs", type=int, default=None,
-                      help="concurrent community solves (qaoa2)")
+                      help="accepted for compatibility, must be >= 1 (qaoa2 solves "
+                           "communities one after another)")
     p_mc.add_argument("--out", default="-", help="result JSON path (default stdout)")
     p_mc.add_argument("--csv", default=None, help="append a benchmark CSV row here")
 

@@ -5,15 +5,18 @@ worker pool.  Results are immutable once written, so repeated fetches are
 idempotent (until later finished jobs evict the job, see ``MAX_JOBS``) and
 job-level behavior is linearizable.  ``stop(drain=True)``
 (or the ``shutdown`` op) stops accepting connections, finishes every
-queued job, then closes.  A ``wait`` request blocks only its own
-connection's handler thread, on the job's ``done_event``.
+queued job, then closes; the ``shutdown`` op is honoured only from a loopback
+peer.  A ``wait`` request blocks only its own connection's handler thread, on
+the job's ``done_event``.
 """
 
 from __future__ import annotations
 
 import heapq
+import ipaddress
 import math
 import socketserver
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -54,9 +57,21 @@ MAX_UNDELIVERED = 10_000
 POLL_INTERVAL_S = 0.05
 
 
+def _is_loopback(host: str) -> bool:
+    try:
+        addr = ipaddress.ip_address(host)
+    except ValueError:
+        return False
+    return (getattr(addr, "ipv4_mapped", None) or addr).is_loopback
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         server: DispatchServer = self.server.dispatch  # type: ignore[attr-defined]
+        # the one trust decision: a loopback peer is treated like an in-process
+        # caller, and only a remote peer's address is passed on
+        host = self.client_address[0]
+        remote = {} if _is_loopback(host) else {"peer": self.client_address}
         while True:
             try:
                 line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
@@ -71,7 +86,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line.strip():
                 continue
             try:
-                reply = server.handle_request_line(line)
+                reply = server.handle_request_line(line, **remote)
             except Exception as exc:  # never let a request kill the connection
                 reply = {"ok": False, "error": f"internal error: {exc}"}
             if not self._send(reply):
@@ -149,7 +164,10 @@ class DispatchServer:
 
     # -- request handling -----------------------------------------------------
 
-    def handle_request_line(self, line: bytes) -> dict:
+    def handle_request_line(self, line: bytes, peer: tuple | None = None) -> dict:
+        """Answer one request line.  ``peer`` is the ``(host, port)`` of a
+        remote (non-loopback) client, which may not shut the server down; None
+        means a loopback or in-process caller."""
         try:
             request = decode_line(line)
         except ProtocolError as exc:
@@ -164,6 +182,10 @@ class DispatchServer:
         if op == "wait":
             return self._op_wait(request)
         if op == "shutdown":
+            if peer is not None:
+                print(f"quilt dispatch: refused shutdown from {peer[0]}:{peer[1]}",
+                      file=sys.stderr, flush=True)
+                return {"ok": False, "error": "shutdown is accepted from loopback only"}
             threading.Thread(target=self.stop, kwargs={"drain": True}, daemon=True).start()
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}

@@ -4,7 +4,8 @@ Pipeline for a Hermitian positive-definite system ``A x = b``:
 
 1.  Classical pre-processing: rescale the spectrum into (0, 1/2] with
     ``scale = 1 / (2 * gershgorin_bound)`` and (separately) expand ``A``
-    over the Pauli basis.
+    over the Pauli basis from bit masks: one gather ``A[i, i ^ x]`` per X
+    mask, then one product with the +-1 Walsh-Hadamard matrix over Z masks.
 2.  Circuit synthesis on ``n + m + 1`` qubits (system, clock, ancilla):
     amplitude-encode ``b``, phase-estimate ``exp(2*pi*i*A*scale)`` with
     controlled matrix powers injected as exact unitaries, rotate the
@@ -22,7 +23,6 @@ in assembly output.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,14 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, PauliSum
-from .simsv import MAX_QUBITS, simulate
+from .simsv import MAX_QUBITS, _parity_signs, simulate
 
-_PAULI_2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_I_POW = np.array([1, 1j, -1, -1j])  # i**k for k = 0..3
 
 
 class HhlError(ValueError):
@@ -119,8 +114,8 @@ class HhlResult:
 def pauli_decompose(matrix) -> PauliSum:
     """Expand a Hermitian matrix over Pauli strings: c_P = Tr(P A) / 2^n.
 
-    Zero coefficients are dropped; the surviving real weights reconstruct
-    the matrix exactly.
+    ``Tr(P A) = i**n_y sum_i (-1)**|i & z| A[i, i ^ x]`` for ``P``'s masks
+    ``(x, z, n_y)``.  Terms come in ``itertools.product("IXYZ")`` order, zeros dropped.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,32 +126,36 @@ def pauli_decompose(matrix) -> PauliSum:
         raise HhlError(f"dimension {dim} is not a power of two")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise HhlError("matrix is not Hermitian within 1e-10")
-    terms = []
-    for ops in itertools.product("IXYZ", repeat=n):
-        label = "".join(ops)
-        coeff = np.trace(pauli_string_matrix(label) @ a) / dim
-        if abs(coeff.imag) > 1e-10:
-            raise HhlError("non-real Pauli coefficient on a Hermitian input")
-        if abs(coeff.real) > 1e-12:
-            terms.append((float(coeff.real), label))
-    return PauliSum(terms)
+    idx = np.arange(dim)
+    walsh = np.stack([_parity_signs(n, z) for z in idx])  # symmetric: [i, z]
+    traces = a[idx, idx[:, None] ^ idx] @ walsh  # [x, z]: Tr(P A) / i**n_y
+    # term t's digit for qubit j is base-4 digit n-1-j of t: 0..3 = I, X, Y, Z
+    digits = (np.arange(dim * dim)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    bits = 1 << np.arange(n)
+    x_masks, z_masks = ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
+    coeffs = traces[x_masks, z_masks] * _I_POW[np.sum(digits == 2, axis=1) % 4] / dim
+    if np.any(np.abs(coeffs.imag) > 1e-10):
+        raise HhlError("non-real Pauli coefficient on a Hermitian input")
+    keep = np.flatnonzero(np.abs(coeffs.real) > 1e-12)
+    return PauliSum((float(coeffs.real[k]), "".join("IXYZ"[d] for d in digits[k]))
+                    for k in keep)
 
 
 def pauli_string_matrix(ops: str) -> np.ndarray:
     """Dense matrix of a Pauli string (ops[i] acts on qubit i, little-endian)."""
-    out = np.array([[1.0 + 0j]])
-    for ch in ops:
-        out = np.kron(_PAULI_2[ch], out)
-    return out
+    return pauli_sum_matrix(PauliSum([(1.0, ops)]))
 
 
 def pauli_sum_matrix(psum: PauliSum) -> np.ndarray:
+    """Dense matrix: string (x, z, n_y) adds i**n_y (-1)**|i & z| at [i ^ x, i]."""
     if not psum.terms:
         raise HhlError("empty Pauli sum has no definite dimension")
-    dim = 1 << psum.num_qubits
-    out = np.zeros((dim, dim), dtype=complex)
+    n = psum.num_qubits
+    cols = np.arange(1 << n)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
     for coeff, string in psum.terms:
-        out += coeff * pauli_string_matrix(string.ops)
+        x_mask, z_mask, n_y = string.masks
+        out[cols ^ x_mask, cols] += coeff * _I_POW[n_y % 4] * _parity_signs(n, z_mask)
     return out
 
 

@@ -18,7 +18,6 @@ communities, greedy single-flip local search beyond).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -499,8 +498,13 @@ def qaoa_squared(
     falls back to local search beyond; ``"local"`` always uses local search.
     The all-plus sign vector is in both search spaces, so the merged cut is
     never below the pre-merge (all-plus) cut.  ``with_details=True`` returns
-    ``(assignment, QaoaSquaredDetails)``.
+    ``(assignment, QaoaSquaredDetails)``.  Communities are solved one after
+    another: threads only contend for the GIL on these small solves.
+    ``jobs`` is kept for compatibility; it must be at least 1 and is
+    otherwise ignored.
     """
+    if jobs is not None and jobs < 1:
+        raise MaxCutError(f"jobs must be at least 1, got {jobs}")
     if cap > MAX_QUBITS:
         raise MaxCutError("community cap exceeds the simulator limit")
     part = partition_graph(graph, cap)
@@ -518,8 +522,7 @@ def qaoa_squared(
         params, _ = optimize(sub, p=p, seed=opt_seed)
         return sample_assignment(sub, params, shots=shots, seed=samp_seed).side
 
-    with ThreadPoolExecutor(max_workers=jobs or min(8, k)) as pool:
-        local_sides = list(pool.map(solve_community, range(k)))
+    local_sides = [solve_community(idx) for idx in range(k)]
 
     side = [0] * graph.n_nodes
     for nodes, bits in zip(part.communities, local_sides):

@@ -5,8 +5,11 @@ hand-written 2x2 matrices) so it never reuses the simulator kernels it is
 meant to check.  Qubit 0 is the least-significant bit of a basis index.
 The references at the end keep the loops that faster code replaced: the
 one-combination-at-a-time knitting loop and the one-shot-at-a-time
-trajectory loop that ``knit.knit_execute``'s batch engine replaced, and the
-per-policy scan loops that ``sched.schedule`` replaced with one event loop.
+trajectory loop that ``knit.knit_execute``'s batch engine replaced, the
+per-policy scan loops that ``sched.schedule`` replaced with one event loop,
+and the one-trace-per-string Pauli decomposition that ``hhl.pauli_decompose``
+replaced with bit masks.  ``qaoa_p1_expected_cut`` is the closed form of the
+p = 1 QAOA objective.
 """
 
 from __future__ import annotations
@@ -82,6 +85,59 @@ def embed_multi(ms: dict[int, np.ndarray], n: int) -> np.ndarray:
 def pauli_matrix(ops: str) -> np.ndarray:
     """Dense matrix of a Pauli string; ops[i] acts on qubit i."""
     return embed_multi({i: P2[c] for i, c in enumerate(ops)}, len(ops))
+
+
+def reference_pauli_decompose(matrix) -> PauliSum:
+    """``hhl.pauli_decompose`` by one Kronecker-built string matrix and one
+    trace per string, in ``itertools.product("IXYZ")`` order."""
+    from quilt.hhl import HhlError
+
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise HhlError("matrix must be square")
+    dim = a.shape[0]
+    n = dim.bit_length() - 1
+    if 1 << n != dim:
+        raise HhlError(f"dimension {dim} is not a power of two")
+    if np.max(np.abs(a - a.conj().T)) > 1e-10:
+        raise HhlError("matrix is not Hermitian within 1e-10")
+    terms = []
+    for ops in itertools.product("IXYZ", repeat=n):
+        label = "".join(ops)
+        coeff = np.trace(pauli_matrix(label) @ a) / dim
+        if abs(coeff.imag) > 1e-10:
+            raise HhlError("non-real Pauli coefficient on a Hermitian input")
+        if abs(coeff.real) > 1e-12:
+            terms.append((float(coeff.real), label))
+    return PauliSum(terms)
+
+
+def qaoa_p1_zz(graph, gamma: float, beta: float, u: int, v: int) -> float:
+    """<Z_u Z_v> after one QAOA layer, in closed form.
+
+    Wang, Hadfield, Jiang and Rieffel, PRA 97, 022304 (2018), for weighted
+    couplings as in Ozaeta, van Dam and McMahon, arXiv:2012.03421.  quilt's
+    RZZ(gamma * w) is exp(-i theta Z Z) with theta = gamma * w / 2, and the
+    mixer is RX(2 beta).  k runs over the nodes other than u and v; theta is 0
+    between nodes with no edge.
+    """
+    theta = np.zeros((graph.n_nodes, graph.n_nodes))
+    for a, b, w in graph.edges:
+        theta[a, b] = theta[b, a] = gamma * w / 2.0
+    others = [k for k in range(graph.n_nodes) if k not in (u, v)]
+    tu, tv = theta[u, others], theta[v, others]
+    return float(
+        0.5 * np.sin(4 * beta) * np.sin(2 * theta[u, v])
+        * (np.prod(np.cos(2 * tu)) + np.prod(np.cos(2 * tv)))
+        - 0.5 * np.sin(2 * beta) ** 2
+        * (np.prod(np.cos(2 * (tu + tv))) - np.prod(np.cos(2 * (tu - tv))))
+    )
+
+
+def qaoa_p1_expected_cut(graph, gamma: float, beta: float) -> float:
+    """``maxcut.expected_cut`` at p = 1: sum over edges of (w/2)(1 - <Z_u Z_v>)."""
+    return sum(w / 2.0 * (1.0 - qaoa_p1_zz(graph, gamma, beta, u, v))
+               for u, v, w in graph.edges)
 
 
 def cx_full(control: int, target: int, n: int) -> np.ndarray:

@@ -223,3 +223,84 @@ def test_circuits_shareable_and_immutable():
     ps = PauliSum([(1.0, "ZZ")])
     with pytest.raises(AttributeError):
         ps.terms = ()
+
+
+# -- the unitary check accepts exactly what np.allclose(M^H M, I, atol=1e-9) does --
+
+
+def _accepted(matrix, qubits) -> bool:
+    try:
+        Gate(GateKind.UNITARY, qubits, matrix=matrix)
+    except GateError:
+        return False
+    return True
+
+
+def _allclose_accepts(matrix) -> bool:
+    return bool(np.allclose(matrix.conj().T @ matrix, np.eye(matrix.shape[0]), atol=1e-9))
+
+
+def _random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_unitary_check_matches_allclose_at_its_tolerances(n_qubits):
+    rng = np.random.default_rng(40 + n_qubits)
+    dim = 1 << n_qubits
+    qubits = tuple(range(n_qubits))
+    diag_tol = 1e-9 + 1e-5  # atol + rtol * |I| on the diagonal
+    for _ in range(5):
+        u = _random_unitary(rng, dim)
+        i, j = (int(k) for k in rng.choice(dim, size=2, replace=False))
+        cases = []
+        for scale, inside in ((0.999, True), (1.001, False)):
+            # (I + eps E_ij)^H (I + eps E_ij) has eps at [i, j] and [j, i]
+            off = np.eye(dim, dtype=complex)
+            off[i, j] = scale * 1e-9
+            cases.append((u @ off, inside))
+            for sign in (1.0, -1.0):
+                # (1 + d)^2 = 1 + sign * scale * diag_tol at [i, i]
+                on = np.eye(dim, dtype=complex)
+                on[i, i] = np.sqrt(1.0 + sign * scale * diag_tol)
+                cases.append((u @ on, inside))
+        for matrix, inside in cases:
+            assert _allclose_accepts(matrix) is inside
+            assert _accepted(matrix, qubits) is inside
+        # right at the bounds rounding decides; the two must still agree
+        for step in range(-4, 5):
+            off = np.eye(dim, dtype=complex)
+            off[i, j] = 1e-9 * (1.0 + step * 1e-15)
+            on = np.eye(dim, dtype=complex)
+            on[i, i] = np.sqrt(1.0 + diag_tol * (1.0 + step * 1e-12))
+            for matrix in (u @ off, u @ on):
+                assert _accepted(matrix, qubits) == _allclose_accepts(matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_unitary_check_rejects_non_finite_entries(bad):
+    rng = np.random.default_rng(7)
+    for n_qubits in (1, 2):
+        dim = 1 << n_qubits
+        for _ in range(3):
+            matrix = _random_unitary(rng, dim)
+            matrix[rng.integers(dim), rng.integers(dim)] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not _allclose_accepts(matrix)
+                assert not _accepted(matrix, tuple(range(n_qubits)))
+    with np.errstate(invalid="ignore"):
+        assert not _accepted(np.diag([bad, 1.0]).astype(complex), (0,))
+
+
+@pytest.mark.parametrize("shape, qubits", [
+    ((2,), (0,)), ((2, 3), (0,)), ((4, 4), (0,)), ((2, 2), (0, 1)), ((1, 1), (0,)),
+    ((2, 2, 2), (0,)),
+])
+def test_unitary_check_rejects_wrong_shapes(shape, qubits):
+    matrix = np.zeros(shape, dtype=complex)
+    if len(shape) == 2 and shape[0] == shape[1]:
+        matrix = np.eye(shape[0], dtype=complex)  # unitary, but the wrong size
+    with pytest.raises(GateError, match="shape"):
+        Gate(GateKind.UNITARY, qubits, matrix=matrix)

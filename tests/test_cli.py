@@ -109,6 +109,13 @@ def test_maxcut_qaoa2_two_triangles(graph_file, tmp_path):
     assert rows[1][3] == "qaoa2"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_maxcut_qaoa2_jobs_below_one_is_an_error(graph_file, capsys, jobs):
+    assert main(["maxcut", str(graph_file), "--method", "qaoa2", "--cap", "3",
+                 "--jobs", jobs]) == 1
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_maxcut_deterministic_under_seed(graph_file, tmp_path):
     outs = []
     for tag in ("a", "b"):

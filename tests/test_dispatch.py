@@ -590,3 +590,65 @@ def test_every_dispatch_export_resolves():
         assert value is getattr(home, name)
     with pytest.raises(AttributeError):
         dispatch.no_such_name
+
+
+# -- shutdown is honoured from loopback peers only ------------------------------------
+
+
+SHUTDOWN = b'{"op": "shutdown"}\n'
+
+
+@pytest.mark.parametrize("peer", [("10.1.2.3", 40000), ("192.168.0.7", 5),
+                                  ("2001:db8::1", 6), ("not-an-address", 7)])
+def test_shutdown_from_a_remote_peer_is_refused_and_logged(server, capsys, peer):
+    reply = server.handle_request_line(SHUTDOWN, peer=peer)
+    assert reply["ok"] is False and "loopback" in reply["error"]
+    log = capsys.readouterr().err.splitlines()
+    assert len(log) == 1 and f"{peer[0]}:{peer[1]}" in log[0]
+    assert not server.wait_until_stopped(timeout=0.2)
+    with client_for(server) as client:  # still serving
+        assert client.wait(client.submit(bell_circuit(), ZZ)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("host", ["127.0.0.1", "127.8.9.10", "::1", "::ffff:127.0.0.1"])
+def test_loopback_hosts_are_recognised(host):
+    assert server_module._is_loopback(host)
+
+
+@pytest.mark.parametrize("host", ["10.1.2.3", "0.0.0.0", "2001:db8::1", "::ffff:10.0.0.1",
+                                  "not-an-address", ""])
+def test_other_hosts_are_not_loopback(host):
+    assert not server_module._is_loopback(host)
+
+
+def test_shutdown_from_in_process_stops_the_server(capsys):
+    srv = DispatchServer("127.0.0.1", 0, workers=1).start()
+    try:
+        assert srv.handle_request_line(SHUTDOWN) == {"ok": True}
+        assert srv.wait_until_stopped(timeout=5)
+        assert capsys.readouterr().err == ""
+    finally:
+        srv.stop(drain=False)
+
+
+def test_shutdown_over_a_loopback_connection_stops_the_server(capsys):
+    srv = DispatchServer("127.0.0.1", 0, workers=1).start()
+    try:
+        with socket.create_connection(srv.address, timeout=5) as sock:
+            sock.sendall(SHUTDOWN)
+            assert json.loads(sock.makefile("rb").readline()) == {"ok": True}
+        assert srv.wait_until_stopped(timeout=5)
+        assert capsys.readouterr().err == ""
+    finally:
+        srv.stop(drain=False)
+
+
+def test_connection_handler_passes_a_remote_peer_on(server, raw_for, monkeypatch, capsys):
+    # a loopback socket stands in for a remote one: only the address test is patched
+    monkeypatch.setattr(server_module, "_is_loopback", lambda host: False)
+    conn = raw_for(server)
+    reply = conn.request({"op": "shutdown"})
+    assert reply["ok"] is False and "loopback" in reply["error"]
+    assert "refused shutdown from 127.0.0.1:" in capsys.readouterr().err
+    assert conn.request({"op": "poll", "job_id": "job-0"})["ok"] is False  # same connection
+    assert not server.wait_until_stopped(timeout=0.2)

@@ -275,3 +275,80 @@ def test_load_system_bad_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(HhlError):
         load_system(path)
+
+
+# -- mask decomposition against the Kronecker reference --------------------------
+
+
+def _decomposition_cases(rng, n):
+    """Random complex Hermitian and real symmetric matrices, and matrices with
+    exact zeros (most Pauli coefficients of these are exactly 0)."""
+    dim = 1 << n
+    cases = []
+    for k in range(3):
+        real = rng.normal(size=(dim, dim))
+        cases += [(f"complex hermitian {k}", random_hermitian(rng, dim)),
+                  (f"real symmetric {k}", real + real.T)]
+    pair = np.zeros((dim, dim))
+    pair[0, 1] = pair[1, 0] = 2.5
+    return cases + [
+        ("diagonal", np.diag(rng.integers(-3, 4, size=dim).astype(float))),
+        ("single X", pauli_matrix("I" * (n - 1) + "X")),
+        ("identity", np.eye(dim)),
+        ("one off-diagonal pair", pair),
+        ("zero", np.zeros((dim, dim))),
+        # either side of the 1e-12 drop rule
+        ("tiny Z term", np.eye(dim) + 5e-13 * pauli_matrix("Z" * n)),
+        ("small X term", np.eye(dim) + 5e-12 * pauli_matrix("X" * n)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_decompose_matches_the_kronecker_reference(n):
+    from oracles import reference_pauli_decompose
+
+    rng = np.random.default_rng(100 + n)
+    for name, a in _decomposition_cases(rng, n):
+        got, want = pauli_decompose(a), reference_pauli_decompose(a)
+        assert [p.ops for _, p in got.terms] == [p.ops for _, p in want.terms], name
+        for (c_got, _), (c_want, _) in zip(got.terms, want.terms):
+            assert abs(c_got - c_want) <= 1e-12, name
+        if got.terms:
+            assert np.max(np.abs(pauli_sum_matrix(got) - a)) < 1e-12, name
+
+
+def test_pauli_decompose_raises_what_the_reference_raises():
+    from oracles import reference_pauli_decompose
+
+    skew = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
+    skew[0, 1] += 1e-9j  # Hermitian within 1e-10 fails
+    bad = [
+        np.array([[0, 1], [0, 0]], dtype=float),  # not Hermitian
+        np.eye(3),  # not a power of two
+        np.ones((2, 4)),  # not square
+        np.ones(4),  # not a matrix
+        skew,
+    ]
+    for a in bad:
+        with pytest.raises(HhlError) as want:
+            reference_pauli_decompose(a)
+        with pytest.raises(HhlError) as got:
+            pauli_decompose(a)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_matrices_from_masks_equal_the_kronecker_products(n):
+    import itertools
+
+    from quilt.circuit import PauliSum
+    from quilt.hhl import pauli_string_matrix
+
+    rng = np.random.default_rng(n)
+    labels = ["".join(ops) for ops in itertools.product("IXYZ", repeat=n)]
+    for label in labels:
+        assert np.array_equal(pauli_string_matrix(label), pauli_matrix(label)), label
+    coeffs = rng.normal(size=len(labels))
+    want = sum(c * pauli_matrix(label) for c, label in zip(coeffs, labels))
+    got = pauli_sum_matrix(PauliSum(zip(coeffs, labels)))
+    assert np.max(np.abs(got - want)) < 1e-12

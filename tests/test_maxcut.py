@@ -336,3 +336,41 @@ def test_random_seeded_reproducible():
     a = baseline_random(g, trials=50, seed=9)
     b = baseline_random(g, trials=50, seed=9)
     assert a == b
+
+
+# -- QAOA^2 jobs argument and the closed-form p = 1 objective ------------------------
+
+
+def test_qaoa_squared_same_assignment_for_every_jobs_value():
+    rng = np.random.default_rng(17)
+    graphs = [two_triangles_bridge()] + [
+        random_graph(rng, 9, p=0.4, weighted=True) for _ in range(2)
+    ]
+    for seed, g in enumerate(graphs):
+        runs = [qaoa_squared(g, cap=3, seed=seed, shots=64, jobs=jobs)
+                for jobs in (None, 1, 2, 3)]
+        assert all(run == runs[0] for run in runs[1:]), seed
+
+
+@pytest.mark.parametrize("jobs", [0, -1, -8])
+def test_qaoa_squared_rejects_jobs_below_one(jobs):
+    with pytest.raises(MaxCutError, match="jobs must be at least 1"):
+        qaoa_squared(triangle(), cap=3, seed=0, jobs=jobs)
+
+
+def test_expected_cut_matches_the_closed_form_p1_objective():
+    from oracles import qaoa_p1_expected_cut
+
+    rng = np.random.default_rng(23)
+    graphs = [triangle(), two_triangles_bridge(),
+              Graph(5, ((0, 1, 0.7), (1, 2, 1.3), (0, 2, 2.0))),  # two isolated nodes
+              Graph(2, ((0, 1, 1.5),))]
+    while len(graphs) < 40:
+        n = int(rng.integers(2, 9))
+        g = random_graph(rng, n, p=0.5, weighted=bool(rng.random() < 0.7))
+        if g.edges:  # an edgeless graph has no gamma to bind
+            graphs.append(g)
+    for g in graphs:
+        for gamma, beta in rng.uniform(-np.pi, np.pi, size=(3, 2)):
+            params = QaoaParams(1, (gamma,), (beta,))
+            assert abs(expected_cut(g, params) - qaoa_p1_expected_cut(g, gamma, beta)) <= 1e-12
