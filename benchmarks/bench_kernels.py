@@ -29,6 +29,19 @@ Hermitian matrices (best of ``--repeats``): the bit-mask path against the
 one-Kronecker-matrix-per-string loop kept as
 ``tests/oracles.reference_pauli_decompose``, after checking that both give
 the same labels and coefficients within 1e-12.
+
+A fifth table times ``kernels.apply_unitary`` (best of ``--repeats`` runs of
+``UNITARY_CALLS`` calls) on 8 and 10 qubits for k = 2..7 targets, contiguous
+and scattered: the tensor contraction it replaced (``tensordot``,
+``moveaxis``, ``copyto``) against the matrix product over a transposed
+view, after checking that both give the same state within 1e-12.
+
+A sixth table times HHL circuit build plus simulation for one system of each
+class of the ``hhl`` workload (dimension 2, 4 and 8 with 4, 5 and 6 clock
+qubits): the builder that rebuilds its clock blocks on every call
+(``tests/oracles.reference_hhl_circuit``) simulated with the tensor
+contraction, against ``hhl.build_hhl_circuit`` simulated with the current
+kernel, after checking that both give the same state within 1e-12.
 """
 
 import argparse
@@ -48,6 +61,32 @@ KNIT_SITES = 12
 KNIT_CUTS = (2, 3, 4)
 KNIT_SHOTS = 2000
 PAULI_QUBITS = (1, 2, 3, 4, 5)
+UNITARY_QUBITS = (8, 10)
+UNITARY_TARGETS = (2, 3, 4, 5, 6, 7)
+UNITARY_CALLS = 200
+HHL_CLASSES = (("d2m4", 1, 4), ("d4m5", 2, 5), ("d8m6", 3, 6))  # (label, n, m)
+
+
+def load_oracles():
+    """``tests/oracles.py``, where the replaced loops are kept as references;
+    imported only by the tables that compare against them."""
+    tests_dir = str(Path(__file__).resolve().parents[1] / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    import oracles
+
+    return oracles
+
+
+def best_seconds(call, repeats: int, calls: int = 1) -> float:
+    """Best of ``repeats`` timings of ``calls`` calls, per call."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        best = min(best, time.perf_counter() - start)
+    return best / calls
 
 
 def random_layers(rng, n_qubits: int, n_gates: int) -> Circuit:
@@ -132,14 +171,8 @@ def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float, float]:
     if abs(sampled.value - uncut) > 5 * sem:
         raise SystemExit(f"shots mean {sampled.value!r} is more than 5 standard errors "
                          f"({sem:.3g}) from uncut {uncut!r}")
-    seconds = []  # best of ``repeats``: exact, then shots
-    for kwargs in ({}, {"mode": "shots", "shots": KNIT_SHOTS, "seed": 0}):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            knit.knit_execute(circuit, plan, obs, **kwargs)
-            best = min(best, time.perf_counter() - start)
-        seconds.append(best)
+    seconds = [best_seconds(lambda kw=kw: knit.knit_execute(circuit, plan, obs, **kw), repeats)
+               for kw in ({}, {"mode": "shots", "shots": KNIT_SHOTS, "seed": 0})]
     combinations = len(result.per_term_values)
     return combinations, combinations / seconds[0], KNIT_SHOTS / seconds[1]
 
@@ -147,12 +180,7 @@ def time_knit(rng, n_cuts: int, repeats: int) -> tuple[int, float, float]:
 def time_pauli_decompose(rng, n: int, repeats: int) -> tuple[int, float, float]:
     """(terms, Kronecker-loop seconds, mask seconds) for one random Hermitian
     ``2**n`` x ``2**n`` matrix, best of ``repeats``."""
-    # the Kronecker loop lives with the test oracles; only this table needs them
-    tests_dir = str(Path(__file__).resolve().parents[1] / "tests")
-    if tests_dir not in sys.path:
-        sys.path.insert(0, tests_dir)
-    from oracles import reference_pauli_decompose
-
+    reference_pauli_decompose = load_oracles().reference_pauli_decompose
     dim = 1 << n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     a = a + a.conj().T
@@ -162,15 +190,63 @@ def time_pauli_decompose(rng, n: int, repeats: int) -> tuple[int, float, float]:
     worst = max(abs(c - d) for (c, _), (d, _) in zip(got.terms, want.terms))
     if worst > 1e-12:
         raise SystemExit(f"pauli_decompose differs from the reference by {worst:.2e}")
-    seconds = []
-    for decompose in (reference_pauli_decompose, hhl.pauli_decompose):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            decompose(a)
-            best = min(best, time.perf_counter() - start)
-        seconds.append(best)
+    seconds = [best_seconds(lambda f=f: f(a), repeats)
+               for f in (reference_pauli_decompose, hhl.pauli_decompose)]
     return len(got), seconds[0], seconds[1]
+
+
+def tensordot_unitary(amps: np.ndarray, targets, matrix: np.ndarray) -> None:
+    """The tensor contraction ``kernels.apply_unitary`` replaced."""
+    k = len(targets)
+    n = amps.size.bit_length() - 1
+    psi = amps.reshape([2] * n)
+    u = np.asarray(matrix, dtype=np.complex128).reshape([2] * (2 * k))
+    in_axes = [n - 1 - targets[k - 1 - j] for j in range(k)]
+    res = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), in_axes))
+    res = np.moveaxis(res, list(range(k)), in_axes)
+    np.copyto(psi, res)
+
+
+def time_apply_unitary(rng, n: int, targets, repeats: int) -> tuple[float, float]:
+    """(tensordot seconds, matmul seconds) per call of a random unitary on
+    ``targets`` of an ``n``-qubit state."""
+    k = len(targets)
+    z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    u = np.linalg.qr(z)[0]
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    want, got = psi.copy(), psi.copy()
+    tensordot_unitary(want, targets, u)
+    kernels.apply_unitary(got, targets, u)
+    worst = float(np.max(np.abs(got - want)))
+    if worst > 1e-12:
+        raise SystemExit(f"apply_unitary differs from tensordot by {worst:.2e} "
+                         f"on targets {targets} of {n} qubits")
+    return tuple(best_seconds(lambda f=f: f(psi, targets, u), repeats, UNITARY_CALLS)
+                 for f in (tensordot_unitary, kernels.apply_unitary))
+
+
+def time_hhl(rng, n: int, m: int, repeats: int) -> tuple[float, float]:
+    """(seconds before, seconds now) to build and simulate the HHL circuit of
+    one random SPD system of dimension ``2**n`` with ``m`` clock qubits."""
+    reference_hhl_circuit = load_oracles().reference_hhl_circuit
+    system = hhl.random_spd_system(rng, 1 << n, cond=2.0, m=m)
+
+    def before():
+        saved = kernels.apply_unitary
+        kernels.apply_unitary = tensordot_unitary
+        try:
+            return simulate(reference_hhl_circuit(system)).amps
+        finally:
+            kernels.apply_unitary = saved
+
+    def now():
+        return simulate(hhl.build_hhl_circuit(system)).amps
+
+    worst = float(np.max(np.abs(before() - now())))
+    if worst > 1e-12:
+        raise SystemExit(f"HHL state differs from the reference path by {worst:.2e}")
+    return best_seconds(before, repeats), best_seconds(now, repeats)
 
 
 def main() -> None:
@@ -232,6 +308,28 @@ def main() -> None:
         terms, kron_s, mask_s = time_pauli_decompose(pauli_rng, n, args.repeats)
         print(f"{n:<8}{terms:>6}{kron_s * 1e3:>10.3f}{mask_s * 1e3:>10.3f}"
               f"{kron_s / mask_s:>8.1f}x")
+
+    unitary_rng = np.random.default_rng([args.seed, 3])
+    print(f"\napply_unitary (random k-qubit unitary, best of {args.repeats} x "
+          f"{UNITARY_CALLS} calls)")
+    print(f"{'qubits':<8}{'k':>3}{'targets':>11}{'tensordot us':>14}{'matmul us':>11}"
+          f"{'speedup':>9}")
+    for n in UNITARY_QUBITS:
+        for k in UNITARY_TARGETS:
+            # scattered: every other qubit downward from the top, then the rest
+            scattered = (tuple(range(n - 1, -1, -2)) + tuple(range(n - 2, -1, -2)))[:k]
+            for layout, targets in (("contiguous", tuple(range(k))),
+                                    ("scattered", scattered)):
+                old_s, new_s = time_apply_unitary(unitary_rng, n, targets, args.repeats)
+                print(f"{n:<8}{k:>3}{layout:>11}{old_s * 1e6:>14.1f}{new_s * 1e6:>11.1f}"
+                      f"{old_s / new_s:>8.1f}x")
+
+    hhl_rng = np.random.default_rng([args.seed, 4])
+    print(f"\nHHL build + simulate (random SPD system, best of {args.repeats})")
+    print(f"{'class':<8}{'before ms':>10}{'now ms':>8}{'speedup':>9}")
+    for label, n, m in HHL_CLASSES:
+        old_s, new_s = time_hhl(hhl_rng, n, m, args.repeats)
+        print(f"{label:<8}{old_s * 1e3:>10.3f}{new_s * 1e3:>8.3f}{old_s / new_s:>8.1f}x")
 
 
 if __name__ == "__main__":

@@ -6,11 +6,16 @@ Pipeline for a Hermitian positive-definite system ``A x = b``:
     ``scale = 1 / (2 * gershgorin_bound)`` and (separately) expand ``A``
     over the Pauli basis from bit masks: one gather ``A[i, i ^ x]`` per X
     mask, then one product with the +-1 Walsh-Hadamard matrix over Z masks.
+    The gather index, Walsh matrix, masks, phases and labels depend only on
+    ``n`` and are built once per size.
 2.  Circuit synthesis on ``n + m + 1`` qubits (system, clock, ancilla):
     amplitude-encode ``b``, phase-estimate ``exp(2*pi*i*A*scale)`` with
     controlled matrix powers injected as exact unitaries, rotate the
     ancilla by ``2*arcsin(C / lambda_estimate)`` per clock value with
-    ``C = 2**-m``, then un-compute the phase estimation.
+    ``C = 2**-m``, then un-compute the phase estimation.  The clock blocks
+    (the inverse QFT, the inversion and the QFT) depend only on ``(n, m)``:
+    they are built and checked once per size and shared, read-only, by
+    every circuit of that size.
 3.  Exact simulation, postselection on ancilla=1 with the clock returned
     to zero, and normalization of the system register.
 4.  Comparison against LAPACK's pivoted LU solve, reporting the
@@ -23,6 +28,7 @@ in assembly output.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +78,9 @@ class LinearSystem:
             raise HhlError(f"dimension {dim} is not a power of two")
         if b.shape != (dim,):
             raise HhlError("right-hand side length does not match the matrix")
+        _check_finite(a)
+        if not np.isfinite(b).all():
+            raise HhlError("right-hand side has a non-finite entry")
         if np.max(np.abs(a - a.conj().T)) > 1e-10:
             raise HhlError("matrix is not Hermitian within 1e-10")
         if np.linalg.norm(b) == 0:
@@ -111,6 +120,33 @@ class HhlResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(a: np.ndarray) -> None:
+    # NaN would slip through the Hermitian check: a NaN maximum compares False
+    if not np.isfinite(a).all():
+        raise HhlError("matrix has a non-finite entry")
+
+
+@functools.lru_cache(maxsize=8)
+def _pauli_tables(n: int) -> tuple:
+    """Read-only tables of :func:`pauli_decompose` on ``n`` qubits: the
+    gather index ``[x, i] -> i ^ x``, the Walsh matrix, each term's X and Z
+    masks and ``i**n_y``, and the labels, in ``itertools.product("IXYZ")``
+    order."""
+    dim = 1 << n
+    idx = np.arange(dim)
+    walsh = np.stack([_parity_signs(n, z) for z in idx])  # symmetric: [i, z]
+    # term t's digit for qubit j is base-4 digit n-1-j of t: 0..3 = I, X, Y, Z
+    digits = (np.arange(dim * dim)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    bits = 1 << np.arange(n)
+    x_masks, z_masks = ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
+    phases = _I_POW[np.sum(digits == 2, axis=1) % 4]
+    arrays = (idx, idx[:, None] ^ idx, walsh, x_masks, z_masks, phases)
+    for arr in arrays:
+        arr.flags.writeable = False
+    labels = tuple("".join("IXYZ"[d] for d in row) for row in digits)
+    return arrays + (labels,)
+
+
 def pauli_decompose(matrix) -> PauliSum:
     """Expand a Hermitian matrix over Pauli strings: c_P = Tr(P A) / 2^n.
 
@@ -124,21 +160,16 @@ def pauli_decompose(matrix) -> PauliSum:
     n = dim.bit_length() - 1
     if 1 << n != dim:
         raise HhlError(f"dimension {dim} is not a power of two")
+    _check_finite(a)
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise HhlError("matrix is not Hermitian within 1e-10")
-    idx = np.arange(dim)
-    walsh = np.stack([_parity_signs(n, z) for z in idx])  # symmetric: [i, z]
-    traces = a[idx, idx[:, None] ^ idx] @ walsh  # [x, z]: Tr(P A) / i**n_y
-    # term t's digit for qubit j is base-4 digit n-1-j of t: 0..3 = I, X, Y, Z
-    digits = (np.arange(dim * dim)[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
-    bits = 1 << np.arange(n)
-    x_masks, z_masks = ((digits == 1) | (digits == 2)) @ bits, (digits >= 2) @ bits
-    coeffs = traces[x_masks, z_masks] * _I_POW[np.sum(digits == 2, axis=1) % 4] / dim
+    idx, gather, walsh, x_masks, z_masks, phases, labels = _pauli_tables(n)
+    traces = a[idx, gather] @ walsh  # [x, z]: Tr(P A) / i**n_y
+    coeffs = traces[x_masks, z_masks] * phases / dim
     if np.any(np.abs(coeffs.imag) > 1e-10):
         raise HhlError("non-real Pauli coefficient on a Hermitian input")
     keep = np.flatnonzero(np.abs(coeffs.real) > 1e-12)
-    return PauliSum((float(coeffs.real[k]), "".join("IXYZ"[d] for d in digits[k]))
-                    for k in keep)
+    return PauliSum((float(coeffs.real[k]), labels[k]) for k in keep)
 
 
 def pauli_string_matrix(ops: str) -> np.ndarray:
@@ -203,6 +234,34 @@ def _qft_matrix(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim)
 
 
+@functools.lru_cache(maxsize=8)
+def _clock_gates(n: int, m: int) -> tuple[Gate, Gate, Gate]:
+    """The blocks of :func:`build_hhl_circuit` that depend only on the
+    register sizes: the inverse QFT on the clock, the eigenvalue inversion
+    on clock + ancilla, and the QFT on the clock.  Each is checked once per
+    ``(n, m)`` and its matrix is read-only, since every circuit of that size
+    shares it."""
+    clock = tuple(range(n, n + m))
+    qft = _qft_matrix(m)
+    # clock value v encodes lambda = v / 2^m
+    mdim = 1 << m
+    inv = np.zeros((2 * mdim, 2 * mdim), dtype=complex)
+    inv[0, 0] = inv[mdim, mdim] = 1.0  # clock 0: leave the ancilla alone
+    for v in range(1, mdim):
+        sin = 1.0 / v  # C / lambda with C = 2^-m
+        cos = np.sqrt(1.0 - sin * sin)
+        inv[v, v] = cos
+        inv[v + mdim, v] = sin
+        inv[v, v + mdim] = -sin
+        inv[v + mdim, v + mdim] = cos
+    gates = (Gate(GateKind.UNITARY, clock, matrix=qft.conj().T),
+             Gate(GateKind.UNITARY, clock + (n + m,), matrix=inv),
+             Gate(GateKind.UNITARY, clock, matrix=qft))
+    for gate in gates:
+        gate.matrix.flags.writeable = False
+    return gates
+
+
 # ---------------------------------------------------------------------------
 # circuit synthesis
 # ---------------------------------------------------------------------------
@@ -218,7 +277,6 @@ def build_hhl_circuit(sys: LinearSystem) -> Circuit:
     n, m = sys.n, sys.m
     dim = sys.dim
     clock = tuple(range(n, n + m))
-    ancilla = n + m
     evals, evecs = np.linalg.eigh(sys.matrix)
     smallest = evals[0] * sys.scale
     if smallest < 1.0 / (1 << m):
@@ -247,23 +305,15 @@ def build_hhl_circuit(sys: LinearSystem) -> Circuit:
         ctrl[0::2, 1::2] = 0.0
         gates_target = (cq,) + tuple(range(n))
         qpe.append(Gate(GateKind.UNITARY, gates_target, matrix=ctrl))
-    qpe.append(Gate(GateKind.UNITARY, clock, matrix=_qft_matrix(m).conj().T))
+    qft_dagger, inversion, qft = _clock_gates(n, m)
     gates.extend(qpe)
+    gates.append(qft_dagger)
 
-    # (3) eigenvalue inversion: clock value v encodes lambda = v / 2^m
-    inv = np.zeros((1 << (m + 1), 1 << (m + 1)), dtype=complex)
-    mdim = 1 << m
-    inv[0, 0] = inv[mdim, mdim] = 1.0  # clock 0: leave the ancilla alone
-    for v in range(1, mdim):
-        sin = 1.0 / v  # C / lambda with C = 2^-m
-        cos = np.sqrt(1.0 - sin * sin)
-        inv[v, v] = cos
-        inv[v + mdim, v] = sin
-        inv[v, v + mdim] = -sin
-        inv[v + mdim, v + mdim] = cos
-    gates.append(Gate(GateKind.UNITARY, clock + (ancilla,), matrix=inv))
+    # (3) eigenvalue inversion
+    gates.append(inversion)
 
     # (4) inverse phase estimation
+    gates.append(qft)
     gates.extend(g.adjoint() for g in reversed(qpe))
     return Circuit(sys.total_qubits, tuple(gates))
 

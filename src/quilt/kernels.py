@@ -13,8 +13,8 @@ of the basis-state index:
 Both backends perform the same per-amplitude arithmetic and their outputs
 are checked to agree in the test suite; ``benchmarks/bench_kernels.py``
 compares their throughput.  Arbitrary k-qubit unitaries are applied
-through a shared numpy tensor contraction (they are rare and not
-loop-bound).
+through a shared numpy path, one matrix product over a transposed view of
+the state (they are rare and not loop-bound).
 """
 
 from __future__ import annotations
@@ -189,18 +189,18 @@ def apply_unitary(amps: np.ndarray, targets, matrix: np.ndarray) -> None:
 
     Row/column index of ``matrix`` is sum_j bit(targets[j]) << j.  Used for
     the escape-hatch unitary gate and as the numpy fallback for generic
-    two-qubit matrices.
+    two-qubit matrices.  The state is viewed as a tensor transposed so the
+    target axes come first, most significant matrix bit first; that view
+    reshaped to ``(2**k, rest)`` is one matrix product, written back through
+    the view.
     """
     k = len(targets)
     n = amps.size.bit_length() - 1
-    psi = amps.reshape([2] * n)
-    u = np.asarray(matrix, dtype=np.complex128).reshape([2] * (2 * k))
-    # U tensor axes: (r_{k-1}..r_0, c_{k-1}..c_0); psi axis of qubit q is n-1-q.
-    in_axes = [n - 1 - targets[k - 1 - j] for j in range(k)]
-    res = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), in_axes))
-    dest = [n - 1 - targets[k - 1 - j] for j in range(k)]
-    res = np.moveaxis(res, list(range(k)), dest)
-    np.copyto(psi, res)
+    # psi axis of qubit q is n-1-q; the matrix's leading bit is targets[k-1]
+    first = [n - 1 - q for q in reversed(targets)]
+    view = amps.reshape([2] * n).transpose(first + [a for a in range(n) if a not in first])
+    u = np.asarray(matrix, dtype=np.complex128)
+    view[...] = (u @ view.reshape(1 << k, -1)).reshape(view.shape)
 
 
 # ---------------------------------------------------------------------------

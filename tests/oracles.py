@@ -7,8 +7,10 @@ The references at the end keep the loops that faster code replaced: the
 one-combination-at-a-time knitting loop and the one-shot-at-a-time
 trajectory loop that ``knit.knit_execute``'s batch engine replaced, the
 per-policy scan loops that ``sched.schedule`` replaced with one event loop,
-and the one-trace-per-string Pauli decomposition that ``hhl.pauli_decompose``
-replaced with bit masks.  ``qaoa_p1_expected_cut`` is the closed form of the
+the one-trace-per-string Pauli decomposition that ``hhl.pauli_decompose``
+replaced with bit masks, and the HHL circuit builder that rebuilds its
+clock blocks on every call, which ``hhl.build_hhl_circuit`` replaced with
+blocks built once per register size.  ``qaoa_p1_expected_cut`` is the closed form of the
 p = 1 QAOA objective.
 """
 
@@ -110,6 +112,65 @@ def reference_pauli_decompose(matrix) -> PauliSum:
         if abs(coeff.real) > 1e-12:
             terms.append((float(coeff.real), label))
     return PauliSum(terms)
+
+
+def reference_hhl_circuit(sys):
+    """``hhl.build_hhl_circuit`` building and checking every block, the
+    clock Fourier transforms and the inversion included, on every call."""
+    from quilt.circuit import Circuit
+    from quilt.hhl import _completion_unitary, _qft_matrix
+
+    n, m = sys.n, sys.m
+    dim = sys.dim
+    clock = tuple(range(n, n + m))
+    ancilla = n + m
+    evals, evecs = np.linalg.eigh(sys.matrix)
+    smallest = evals[0] * sys.scale
+    if smallest < 1.0 / (1 << m):
+        import warnings
+
+        warnings.warn(
+            f"clock register of {m} qubit(s) cannot resolve the smallest "
+            f"rescaled eigenvalue {smallest:.3g}",
+            stacklevel=2,
+        )
+    gates: list[Gate] = []
+
+    # (1) amplitude-encode b
+    b_hat = sys.rhs / np.linalg.norm(sys.rhs)
+    gates.append(Gate(GateKind.UNITARY, tuple(range(n)),
+                      matrix=_completion_unitary(b_hat)))
+
+    # (2) phase estimation of exp(2 pi i A scale)
+    qpe: list[Gate] = [Gate(GateKind.H, (q,)) for q in clock]
+    for j, cq in enumerate(clock):
+        phases = np.exp(2j * np.pi * sys.scale * evals * (1 << j))
+        u_pow = (evecs * phases) @ evecs.conj().T
+        ctrl = np.eye(2 * dim, dtype=complex)
+        ctrl[1::2, 1::2] = u_pow
+        ctrl[1::2, 0::2] = 0.0
+        ctrl[0::2, 1::2] = 0.0
+        gates_target = (cq,) + tuple(range(n))
+        qpe.append(Gate(GateKind.UNITARY, gates_target, matrix=ctrl))
+    qpe.append(Gate(GateKind.UNITARY, clock, matrix=_qft_matrix(m).conj().T))
+    gates.extend(qpe)
+
+    # (3) eigenvalue inversion: clock value v encodes lambda = v / 2^m
+    inv = np.zeros((1 << (m + 1), 1 << (m + 1)), dtype=complex)
+    mdim = 1 << m
+    inv[0, 0] = inv[mdim, mdim] = 1.0  # clock 0: leave the ancilla alone
+    for v in range(1, mdim):
+        sin = 1.0 / v  # C / lambda with C = 2^-m
+        cos = np.sqrt(1.0 - sin * sin)
+        inv[v, v] = cos
+        inv[v + mdim, v] = sin
+        inv[v, v + mdim] = -sin
+        inv[v + mdim, v + mdim] = cos
+    gates.append(Gate(GateKind.UNITARY, clock + (ancilla,), matrix=inv))
+
+    # (4) inverse phase estimation
+    gates.extend(g.adjoint() for g in reversed(qpe))
+    return Circuit(sys.total_qubits, tuple(gates))
 
 
 def qaoa_p1_zz(graph, gamma: float, beta: float, u: int, v: int) -> float:

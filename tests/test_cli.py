@@ -79,6 +79,19 @@ def test_hhl_tiny_clock_fails_with_report(system_file, capsys):
     assert "deviation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["A", "b"])
+def test_hhl_nan_entry_is_an_error(tmp_path, capsys, field):
+    system = {"A": [[1.0, 0.0], [0.0, 0.5]], "b": [1.0, 1.0], "m": 5}
+    if field == "A":
+        system["A"][0][1] = system["A"][1][0] = float("nan")
+    else:
+        system["b"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(system))  # writes the NaN literal json.loads reads back
+    assert main(["hhl", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_maxcut_greedy_triangle(tmp_path, capsys):
     path = tmp_path / "tri.txt"
     path.write_text("3\n0 1\n1 2\n0 2\n")

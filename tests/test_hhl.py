@@ -19,7 +19,7 @@ from quilt.hhl import (
 )
 from quilt.simsv import simulate
 
-from oracles import pauli_matrix
+from oracles import pauli_matrix, reference_hhl_circuit
 
 
 def random_hermitian(rng, dim):
@@ -352,3 +352,80 @@ def test_pauli_matrices_from_masks_equal_the_kronecker_products(n):
     want = sum(c * pauli_matrix(label) for c, label in zip(coeffs, labels))
     got = pauli_sum_matrix(PauliSum(zip(coeffs, labels)))
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+# -- size-only blocks, built once ------------------------------------------------
+
+
+def dyadic_system(rng, n, m):
+    """Diagonal system with entries on the 2^-m grid and maximum 1/2."""
+    dim = 1 << n
+    grid = rng.integers(1, 2 ** max(m - 1, 0) + 1, size=dim)
+    grid[int(rng.integers(dim))] = 2 ** max(m - 1, 0)
+    return LinearSystem.build(np.diag(grid / 2.0**m), rng.normal(size=dim), m=m)
+
+
+@pytest.mark.filterwarnings("ignore:clock register")
+def test_circuit_equals_the_reference_builder_across_cache_hits_and_misses():
+    from quilt.hhl import _clock_gates
+
+    rng = np.random.default_rng(41)
+    sizes = [(n, m) for n in (1, 2, 3) for m in range(1, 7)]
+    _clock_gates.cache_clear()
+    # every size twice in a row (a hit), then all sizes again in a new order:
+    # more sizes than the cache holds, so some come back as misses
+    order = [s for s in sizes for _ in range(2)]
+    order += [sizes[i] for i in rng.permutation(len(sizes))]
+    for k, (n, m) in enumerate(order):
+        system = (dyadic_system(rng, n, m) if k % 2
+                  else random_spd_system(rng, 1 << n, cond=4.0, m=m))
+        assert build_hhl_circuit(system).gates == reference_hhl_circuit(system).gates
+    info = _clock_gates.cache_info()
+    assert info.hits >= len(sizes) and info.misses > len(sizes)
+
+
+def test_clock_gates_are_shared_and_read_only():
+    rng = np.random.default_rng(42)
+    m = 4
+    first = build_hhl_circuit(random_spd_system(rng, 4, cond=4.0, m=m)).gates
+    second = build_hhl_circuit(random_spd_system(rng, 4, cond=4.0, m=m)).gates
+    # QFT^dagger ends the QPE block; the inversion and the QFT follow it
+    clock = [1 + 2 * m, 2 + 2 * m, 3 + 2 * m]
+    for i in clock:
+        assert first[i] is second[i]
+        with pytest.raises(ValueError):
+            first[i].matrix[0, 0] = 0.0
+    assert first[1 + m] is not second[1 + m]  # a controlled power depends on A
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_tables_are_read_only(n):
+    from quilt.hhl import _pauli_tables
+
+    tables = _pauli_tables(n)
+    assert _pauli_tables(n) is tables
+    *arrays, labels = tables
+    assert isinstance(labels, tuple) and len(labels) == 4**n
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+# -- non-finite input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected(bad):
+    a = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(HhlError, match="non-finite"):
+        LinearSystem.build(a, [1.0, 1.0])
+    with pytest.raises(HhlError, match="non-finite"):
+        pauli_decompose(a)
+    with pytest.raises(HhlError, match="non-finite"):
+        pauli_decompose(np.diag([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_is_rejected(bad):
+    with pytest.raises(HhlError, match="non-finite"):
+        LinearSystem.build(np.eye(2), [1.0, bad])

@@ -54,6 +54,43 @@ def test_generic_unitary_application(restore_backend):
         assert np.allclose(work, ref, atol=1e-12)
 
 
+def _random_unitary(rng, k):
+    z = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_unitary_matches_dense_embedding_for_every_target_order(n):
+    rng = np.random.default_rng(40 + n)
+    for k in range(1, n + 1):
+        # random orders: unsorted and non-contiguous for k < n, all qubits at k = n
+        for _ in range(3):
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            m = _random_unitary(rng, k)
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            work = psi.copy()
+            kernels.apply_unitary(work, targets, m)
+            ref = unitary_full(m, targets, n) @ psi
+            assert np.max(np.abs(work - ref)) <= 1e-12, (n, targets)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_unitary_gate_op_on_a_batch_matches_each_row(batch):
+    from quilt.circuit import Gate, GateKind
+    from quilt.simsv import _apply_op
+
+    rng = np.random.default_rng(60 + batch)
+    n = 5
+    for targets in [(0, 1, 2), (4, 1, 2), (3, 0, 4)]:
+        m = _random_unitary(rng, 3)
+        rows = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+        amps = rows.copy()
+        _apply_op(("gate", Gate(GateKind.UNITARY, targets, matrix=m)), amps)
+        full = unitary_full(m, targets, n)
+        for got, row in zip(amps, rows):
+            assert np.max(np.abs(got - full @ row)) <= 1e-12, targets
+
+
 def test_use_backend_validates():
     with pytest.raises(ValueError):
         kernels.use_backend("cuda")
