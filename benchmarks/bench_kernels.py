@@ -38,10 +38,18 @@ view, after checking that both give the same state within 1e-12.
 
 A sixth table times HHL circuit build plus simulation for one system of each
 class of the ``hhl`` workload (dimension 2, 4 and 8 with 4, 5 and 6 clock
-qubits): the builder that rebuilds its clock blocks on every call
+qubits) and for dimension 8 with 9 clock qubits: the computational-basis
+builder that rebuilds every block on every call
 (``tests/oracles.reference_hhl_circuit``) simulated with the tensor
-contraction, against ``hhl.build_hhl_circuit`` simulated with the current
-kernel, after checking that both give the same state within 1e-12.
+contraction, against ``hhl.build_hhl_circuit`` (diagonal gates in the
+matrix's eigenbasis) simulated with the current kernels, after checking
+that both give the same state within 1e-12.
+
+A seventh table times ``kernels.apply_diagonal`` (best of ``--repeats`` runs
+of ``UNITARY_CALLS`` calls) on 8 and 10 qubits for k = 2..7 targets,
+contiguous and scattered, against ``kernels.apply_unitary`` of the same
+diagonal as a dense matrix, after checking that both give the same state
+within 1e-12.
 """
 
 import argparse
@@ -64,7 +72,7 @@ PAULI_QUBITS = (1, 2, 3, 4, 5)
 UNITARY_QUBITS = (8, 10)
 UNITARY_TARGETS = (2, 3, 4, 5, 6, 7)
 UNITARY_CALLS = 200
-HHL_CLASSES = (("d2m4", 1, 4), ("d4m5", 2, 5), ("d8m6", 3, 6))  # (label, n, m)
+HHL_CLASSES = (("d2m4", 1, 4), ("d4m5", 2, 5), ("d8m6", 3, 6), ("d8m9", 3, 9))  # (label, n, m)
 
 
 def load_oracles():
@@ -226,6 +234,31 @@ def time_apply_unitary(rng, n: int, targets, repeats: int) -> tuple[float, float
                  for f in (tensordot_unitary, kernels.apply_unitary))
 
 
+def time_apply_diagonal(rng, n: int, targets, repeats: int) -> tuple[float, float]:
+    """(dense apply_unitary seconds, apply_diagonal seconds) per call of a
+    random phase vector on ``targets`` of an ``n``-qubit state."""
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << len(targets)))
+    dense = np.diag(phases)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    psi /= np.linalg.norm(psi)
+    want, got = psi.copy(), psi.copy()
+    kernels.apply_unitary(want, targets, dense)
+    kernels.apply_diagonal(got, targets, phases)
+    worst = float(np.max(np.abs(got - want)))
+    if worst > 1e-12:
+        raise SystemExit(f"apply_diagonal differs from apply_unitary by {worst:.2e} "
+                         f"on targets {targets} of {n} qubits")
+    return (best_seconds(lambda: kernels.apply_unitary(psi, targets, dense),
+                         repeats, UNITARY_CALLS),
+            best_seconds(lambda: kernels.apply_diagonal(psi, targets, phases),
+                         repeats, UNITARY_CALLS))
+
+
+def scattered_targets(n: int, k: int) -> tuple:
+    """Every other qubit downward from the top, then the rest: k of them."""
+    return (tuple(range(n - 1, -1, -2)) + tuple(range(n - 2, -1, -2)))[:k]
+
+
 def time_hhl(rng, n: int, m: int, repeats: int) -> tuple[float, float]:
     """(seconds before, seconds now) to build and simulate the HHL circuit of
     one random SPD system of dimension ``2**n`` with ``m`` clock qubits."""
@@ -316,10 +349,8 @@ def main() -> None:
           f"{'speedup':>9}")
     for n in UNITARY_QUBITS:
         for k in UNITARY_TARGETS:
-            # scattered: every other qubit downward from the top, then the rest
-            scattered = (tuple(range(n - 1, -1, -2)) + tuple(range(n - 2, -1, -2)))[:k]
             for layout, targets in (("contiguous", tuple(range(k))),
-                                    ("scattered", scattered)):
+                                    ("scattered", scattered_targets(n, k))):
                 old_s, new_s = time_apply_unitary(unitary_rng, n, targets, args.repeats)
                 print(f"{n:<8}{k:>3}{layout:>11}{old_s * 1e6:>14.1f}{new_s * 1e6:>11.1f}"
                       f"{old_s / new_s:>8.1f}x")
@@ -330,6 +361,19 @@ def main() -> None:
     for label, n, m in HHL_CLASSES:
         old_s, new_s = time_hhl(hhl_rng, n, m, args.repeats)
         print(f"{label:<8}{old_s * 1e3:>10.3f}{new_s * 1e3:>8.3f}{old_s / new_s:>8.1f}x")
+
+    diagonal_rng = np.random.default_rng([args.seed, 5])
+    print(f"\napply_diagonal (random phase vector, best of {args.repeats} x "
+          f"{UNITARY_CALLS} calls)")
+    print(f"{'qubits':<8}{'k':>3}{'targets':>11}{'dense us':>10}{'diagonal us':>13}"
+          f"{'speedup':>9}")
+    for n in UNITARY_QUBITS:
+        for k in UNITARY_TARGETS:
+            for layout, targets in (("contiguous", tuple(range(k))),
+                                    ("scattered", scattered_targets(n, k))):
+                old_s, new_s = time_apply_diagonal(diagonal_rng, n, targets, args.repeats)
+                print(f"{n:<8}{k:>3}{layout:>11}{old_s * 1e6:>10.1f}{new_s * 1e6:>13.1f}"
+                      f"{old_s / new_s:>8.1f}x")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,11 @@ Conventions fixed here and shared by every other module:
 * Measure gates are terminal-only markers; once one appears, only further
   measures may follow.
 * A ``UNITARY`` escape-hatch gate injects an explicit matrix for exact
-  simulation (state preparation, QFT blocks, controlled matrix powers).
-  It is excluded from the assembly-text format.
+  simulation (state preparation, QFT blocks, basis changes).  A
+  ``DIAGONAL`` gate is the same escape hatch for a diagonal matrix: its
+  payload is the vector of unit-modulus phases, little-endian over its
+  qubits (controlled powers in an eigenbasis, multiplexed rotations).
+  Both are excluded from the assembly-text format.
 
 Circuits, gates and Pauli sums are immutable after construction and safe
 to share across threads.
@@ -45,10 +48,12 @@ class GateKind(str, Enum):
     CZ = "cz"
     MEASURE = "measure"
     UNITARY = "unitary"
+    DIAGONAL = "diagonal"
 
 
 ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.RZZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.RZZ, GateKind.CX, GateKind.CZ})
+_MATRIX_KINDS = frozenset({GateKind.UNITARY, GateKind.DIAGONAL})
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 _FIXED_1Q = {
@@ -92,7 +97,8 @@ class Gate:
     parameter (rotations only).  A symbolic angle may carry a numeric
     ``param_scale``: binding yields ``param_scale * value`` (used for
     weighted-edge rotations sharing one layer parameter).  ``matrix``
-    carries the payload of the UNITARY escape hatch.
+    carries the payload of the UNITARY escape hatch (a ``2**k`` square
+    matrix) or of a DIAGONAL gate (a ``2**k`` phase vector).
     """
 
     kind: GateKind
@@ -109,11 +115,11 @@ class Gate:
             raise GateError(f"{self.kind.value} qubits must be distinct, got {self.qubits}")
         if self.param_scale != 1.0 and not isinstance(self.param, str):
             raise GateError("param_scale applies to symbolic parameters only")
-        if self.kind is GateKind.UNITARY:
+        if self.kind in _MATRIX_KINDS:
             if not self.qubits:
-                raise GateError("unitary gate needs at least one qubit")
+                raise GateError(f"{self.kind.value} gate needs at least one qubit")
             if self.param is not None:
-                raise GateError("unitary gate carries no angle parameter")
+                raise GateError(f"{self.kind.value} gate carries no angle parameter")
             self._check_matrix()
             return
         if self.matrix is not None:
@@ -134,6 +140,17 @@ class Gate:
     def _check_matrix(self):
         m = np.asarray(self.matrix, dtype=complex)
         dim = 1 << len(self.qubits)
+        if self.kind is GateKind.DIAGONAL:
+            if m.shape != (dim,):
+                raise GateError(
+                    f"diagonal payload shape {m.shape} does not match "
+                    f"{len(self.qubits)} qubit(s)"
+                )
+            # O(2**k); NaN and inf fail the comparison
+            if not (np.abs(np.abs(m) - 1.0) <= 1e-9).all():
+                raise GateError("diagonal payload has an entry off the unit circle by > 1e-9")
+            object.__setattr__(self, "matrix", m)
+            return
         if m.shape != (dim, dim):
             raise GateError(
                 f"unitary payload shape {m.shape} does not match {len(self.qubits)} qubit(s)"
@@ -178,6 +195,8 @@ class Gate:
             return _FIXED_1Q[self.kind]
         if self.kind in ROTATION_KINDS:
             return rotation_unitary(self.kind, self.param)
+        if self.kind is GateKind.DIAGONAL:
+            return np.diag(self.matrix)
         if self.kind is GateKind.CX:
             # qubits = (control, target); index bit 0 is the control
             return np.array(
@@ -203,6 +222,8 @@ class Gate:
             return Gate(GateKind.UNITARY, self.qubits, matrix=_T_DAGGER)
         if self.kind is GateKind.UNITARY:
             return Gate(GateKind.UNITARY, self.qubits, matrix=self.matrix.conj().T)
+        if self.kind is GateKind.DIAGONAL:
+            return Gate(GateKind.DIAGONAL, self.qubits, matrix=self.matrix.conj())
         return self  # H, X, Y, Z, CX, CZ are self-inverse
 
 

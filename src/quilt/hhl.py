@@ -8,37 +8,53 @@ Pipeline for a Hermitian positive-definite system ``A x = b``:
     mask, then one product with the +-1 Walsh-Hadamard matrix over Z masks.
     The gather index, Walsh matrix, masks, phases and labels depend only on
     ``n`` and are built once per size.
-2.  Circuit synthesis on ``n + m + 1`` qubits (system, clock, ancilla):
-    amplitude-encode ``b``, phase-estimate ``exp(2*pi*i*A*scale)`` with
-    controlled matrix powers injected as exact unitaries, rotate the
-    ancilla by ``2*arcsin(C / lambda_estimate)`` per clock value with
-    ``C = 2**-m``, then un-compute the phase estimation.  The clock blocks
-    (the inverse QFT, the inversion and the QFT) depend only on ``(n, m)``:
-    they are built and checked once per size and shared, read-only, by
-    every circuit of that size.
+2.  Circuit synthesis on ``n + m + 1`` qubits (system, clock, ancilla),
+    laid out in ``A``'s eigenbasis ``V``: one unitary on system + ancilla
+    encodes ``b`` and moves the system into the eigenbasis
+    (``V^dagger U_b``, with ``U_b`` a Householder reflector whose first
+    column is ``b / |b|``) and the ancilla into ``B^dagger``'s frame, where
+    ``RY(t) = B RZ(t) B^dagger``.  Phase estimation of
+    ``exp(2*pi*i*A*scale)`` then needs only diagonal controlled powers: the
+    power on clock qubit ``j`` multiplies eigen-index ``k`` by
+    ``exp(2*pi*i*scale*lambda_k*2**j)`` when that clock qubit is 1.  The
+    inversion rotates the ancilla by ``2*arcsin(C / lambda_estimate)`` per
+    clock value with ``C = 2**-m``: in ``B``'s frame an RZ multiplexed by
+    the clock, one diagonal over clock + ancilla.  The phase estimation is
+    then un-computed and one unitary returns the system and the ancilla to
+    the computational basis (``V`` and ``B``).
 3.  Exact simulation, postselection on ancilla=1 with the clock returned
     to zero, and normalization of the system register.
 4.  Comparison against LAPACK's pivoted LU solve, reporting the
     phase-aligned relative L2 deviation.
 
-Controlled powers, the clock Fourier transform and the eigenvalue-inversion
-block enter through the simulator's unitary escape hatch; they never appear
-in assembly output.
+The clock blocks (the Hadamards, the inverse QFT, the inversion and the
+QFT) depend only on ``(n, m)``: they are built and checked once per size
+and shared, read-only, by every circuit of that size, in a cache bounded
+by count and by bytes.  The basis changes and the clock Fourier transforms
+enter through the simulator's unitary escape hatch, the controlled powers
+and the inversion through its diagonal one (a phase vector, applied by one
+broadcast multiply); they never appear in assembly output.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, PauliSum
-from .simsv import MAX_QUBITS, _parity_signs, simulate
+from .simsv import _TO_AXIS, MAX_QUBITS, _parity_signs, simulate
 
 _I_POW = np.array([1, 1j, -1, -1j])  # i**k for k = 0..3
+_B = _TO_AXIS[GateKind.RY]  # RY(t) = B RZ(t) B^dagger
+_B_DAGGER = _B.conj().T
+_CLOCK_CACHE_KEYS = 8  # sizes whose clock blocks are kept, at most
+_CLOCK_CACHE_BYTES = 64 << 20  # and the bytes their matrices hold, at most
 
 
 class HhlError(ValueError):
@@ -211,21 +227,22 @@ def classical_solve(system, rhs=None) -> np.ndarray:
     return x
 
 
-def _completion_unitary(vec: np.ndarray) -> np.ndarray:
-    """Unitary whose first column is the given unit vector (Gram-Schmidt)."""
-    dim = vec.shape[0]
-    cols = [vec]
-    for k in range(dim):
-        cand = np.zeros(dim, dtype=complex)
-        cand[k] = 1.0
-        for c in cols:
-            cand = cand - np.vdot(c, cand) * c
-        norm = np.linalg.norm(cand)
-        if norm > 1e-9:
-            cols.append(cand / norm)
-        if len(cols) == dim:
-            break
-    return np.stack(cols, axis=1)
+def _state_prep(b_hat: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is the unit vector ``b_hat``: the
+    Householder reflector ``alpha (I - 2 u u^dagger / u^dagger u)`` with
+    ``u = e_0 - conj(alpha) b_hat`` and ``alpha = b_hat[0] / |b_hat[0]|``
+    (1 when ``b_hat[0]`` is 0)."""
+    b_hat = np.asarray(b_hat, dtype=complex)
+    head = abs(b_hat[0])
+    alpha = b_hat[0] / head if head > 0 else 1.0
+    u = -np.conj(alpha) * b_hat
+    tail = np.vdot(u[1:], u[1:]).real
+    # u[0] = 1 - |b_hat[0]|, written without cancellation near b_hat = e_0
+    u[0] = tail / (1.0 + head)
+    prep = np.eye(len(b_hat), dtype=complex)
+    if tail > 0:
+        prep -= (2.0 / (u[0].real ** 2 + tail)) * np.outer(u, u.conj())
+    return alpha * prep
 
 
 def _qft_matrix(m: int) -> np.ndarray:
@@ -234,32 +251,75 @@ def _qft_matrix(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / dim) / np.sqrt(dim)
 
 
-@functools.lru_cache(maxsize=8)
-def _clock_gates(n: int, m: int) -> tuple[Gate, Gate, Gate]:
-    """The blocks of :func:`build_hhl_circuit` that depend only on the
-    register sizes: the inverse QFT on the clock, the eigenvalue inversion
-    on clock + ancilla, and the QFT on the clock.  Each is checked once per
-    ``(n, m)`` and its matrix is read-only, since every circuit of that size
-    shares it."""
+def _build_clock_gates(n: int, m: int) -> tuple:
+    """The Hadamards on the clock, the inverse QFT, the eigenvalue
+    inversion on clock + ancilla and the QFT, each matrix read-only."""
     clock = tuple(range(n, n + m))
     qft = _qft_matrix(m)
-    # clock value v encodes lambda = v / 2^m
-    mdim = 1 << m
-    inv = np.zeros((2 * mdim, 2 * mdim), dtype=complex)
-    inv[0, 0] = inv[mdim, mdim] = 1.0  # clock 0: leave the ancilla alone
-    for v in range(1, mdim):
-        sin = 1.0 / v  # C / lambda with C = 2^-m
-        cos = np.sqrt(1.0 - sin * sin)
-        inv[v, v] = cos
-        inv[v + mdim, v] = sin
-        inv[v, v + mdim] = -sin
-        inv[v + mdim, v + mdim] = cos
-    gates = (Gate(GateKind.UNITARY, clock, matrix=qft.conj().T),
-             Gate(GateKind.UNITARY, clock + (n + m,), matrix=inv),
-             Gate(GateKind.UNITARY, clock, matrix=qft))
-    for gate in gates:
+    # clock value v encodes lambda = v / 2^m; sin(theta_v / 2) = C / lambda
+    # = 1 / v with C = 2^-m, and clock 0 leaves the ancilla alone
+    half = np.zeros(1 << m)
+    half[1:] = np.arcsin(1.0 / np.arange(1, 1 << m))
+    rz = np.exp(1j * np.concatenate([-half, half]))  # RZ(theta_v) on the ancilla
+    blocks = (Gate(GateKind.UNITARY, clock, matrix=qft.conj().T),
+              Gate(GateKind.DIAGONAL, clock + (n + m,), matrix=rz),
+              Gate(GateKind.UNITARY, clock, matrix=qft))
+    for gate in blocks:
         gate.matrix.flags.writeable = False
-    return gates
+    return (tuple(Gate(GateKind.H, (q,)) for q in clock),) + blocks
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses currsize nbytes")
+
+
+class _ClockCache:
+    """:func:`_build_clock_gates` per ``(n, m)``, least recently used first
+    out, holding at most ``_CLOCK_CACHE_KEYS`` sizes and
+    ``_CLOCK_CACHE_BYTES`` bytes of matrices.  A size larger than the byte
+    budget is built on every call and not kept."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.cache_clear()
+
+    def __call__(self, n: int, m: int) -> tuple:
+        key = (n, m)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return entry[0]
+            self._misses += 1
+        gates = _build_clock_gates(n, m)
+        size = sum(g.matrix.nbytes for g in gates[1:])
+        with self._lock:
+            if size <= _CLOCK_CACHE_BYTES and key not in self._entries:
+                self._entries[key] = (gates, size)
+                self._nbytes += size
+                while (len(self._entries) > _CLOCK_CACHE_KEYS
+                       or self._nbytes > _CLOCK_CACHE_BYTES):
+                    self._nbytes -= self._entries.popitem(last=False)[1][1]
+        return gates
+
+    def cache_info(self) -> _CacheInfo:
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, len(self._entries), self._nbytes)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries: OrderedDict = OrderedDict()
+            self._hits = self._misses = self._nbytes = 0
+
+
+_clock_gates = _ClockCache()
+
+
+def _on_system_and_ancilla(system: np.ndarray, ancilla: np.ndarray) -> np.ndarray:
+    """``system`` on the system qubits times the 2x2 ``ancilla`` on the
+    ancilla, little-endian over (system..., ancilla): ``kron(ancilla, system)``."""
+    dim = len(system)
+    return (ancilla[:, None, :, None] * system[None, :, None, :]).reshape(2 * dim, 2 * dim)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +331,17 @@ def build_hhl_circuit(sys: LinearSystem) -> Circuit:
     """Full solver circuit on ``n + m + 1`` qubits.
 
     Register layout: system = qubits ``0..n-1``, clock = ``n..n+m-1``,
-    ancilla = ``n+m``.  When ``m`` cannot resolve the smallest rescaled
-    eigenvalue a warning is printed (estimation still proceeds).
+    ancilla = ``n+m``.  Gate 0 encodes ``b`` in ``A``'s eigenbasis, gates
+    ``1..2m+1`` are the phase estimation (``m`` Hadamards, ``m`` diagonal
+    controlled powers, the inverse QFT), gate ``2m+2`` is the inversion, and
+    the rest un-compute the estimation and change the basis back.  When
+    ``m`` cannot resolve the smallest rescaled eigenvalue a warning is
+    printed (estimation still proceeds).
     """
     n, m = sys.n, sys.m
     dim = sys.dim
-    clock = tuple(range(n, n + m))
+    system = tuple(range(n))
+    outer = system + (n + m,)  # the qubits of the two basis changes
     evals, evecs = np.linalg.eigh(sys.matrix)
     smallest = evals[0] * sys.scale
     if smallest < 1.0 / (1 << m):
@@ -287,34 +352,27 @@ def build_hhl_circuit(sys: LinearSystem) -> Circuit:
             f"rescaled eigenvalue {smallest:.3g}",
             stacklevel=2,
         )
-    gates: list[Gate] = []
+    hadamards, qft_dagger, inversion, qft = _clock_gates(n, m)
 
-    # (1) amplitude-encode b
-    b_hat = sys.rhs / np.linalg.norm(sys.rhs)
-    gates.append(Gate(GateKind.UNITARY, tuple(range(n)),
-                      matrix=_completion_unitary(b_hat)))
+    # (1) amplitude-encode b in the eigenbasis; the ancilla into B's frame
+    prep = evecs.conj().T @ _state_prep(sys.rhs / np.linalg.norm(sys.rhs))
 
-    # (2) phase estimation of exp(2 pi i A scale)
-    qpe: list[Gate] = [Gate(GateKind.H, (q,)) for q in clock]
-    for j, cq in enumerate(clock):
-        phases = np.exp(2j * np.pi * sys.scale * evals * (1 << j))
-        u_pow = (evecs * phases) @ evecs.conj().T
-        ctrl = np.eye(2 * dim, dtype=complex)
-        ctrl[1::2, 1::2] = u_pow
-        ctrl[1::2, 0::2] = 0.0
-        ctrl[0::2, 1::2] = 0.0
-        gates_target = (cq,) + tuple(range(n))
-        qpe.append(Gate(GateKind.UNITARY, gates_target, matrix=ctrl))
-    qft_dagger, inversion, qft = _clock_gates(n, m)
-    gates.extend(qpe)
-    gates.append(qft_dagger)
+    # (2) phase estimation of exp(2 pi i A scale): clock qubit j multiplies
+    # eigen-index k by exp(2 pi i scale lambda_k 2^j)
+    powers = np.ones((m, 2 * dim), dtype=complex)
+    powers[:, dim:] = np.exp(1j * np.outer(2.0 ** np.arange(m),
+                                           2 * np.pi * sys.scale * evals))
+    controlled = [Gate(GateKind.DIAGONAL, system + (n + j,), matrix=row)
+                  for j, row in enumerate(powers)]
+    undo = [Gate(GateKind.DIAGONAL, system + (n + j,), matrix=row)
+            for j, row in enumerate(powers.conj())]
 
-    # (3) eigenvalue inversion
-    gates.append(inversion)
-
-    # (4) inverse phase estimation
-    gates.append(qft)
-    gates.extend(g.adjoint() for g in reversed(qpe))
+    # (3) eigenvalue inversion, then (4) the inverse phase estimation
+    gates = [Gate(GateKind.UNITARY, outer, matrix=_on_system_and_ancilla(prep, _B_DAGGER)),
+             *hadamards, *controlled, qft_dagger,
+             inversion,
+             qft, *reversed(undo), *hadamards,
+             Gate(GateKind.UNITARY, outer, matrix=_on_system_and_ancilla(evecs, _B))]
     return Circuit(sys.total_qubits, tuple(gates))
 
 

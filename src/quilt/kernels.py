@@ -12,9 +12,10 @@ of the basis-state index:
 
 Both backends perform the same per-amplitude arithmetic and their outputs
 are checked to agree in the test suite; ``benchmarks/bench_kernels.py``
-compares their throughput.  Arbitrary k-qubit unitaries are applied
-through a shared numpy path, one matrix product over a transposed view of
-the state (they are rare and not loop-bound).
+compares their throughput.  Arbitrary k-qubit unitaries and diagonals are
+applied through a shared numpy path over a transposed view of the state,
+one matrix product or one broadcast multiply (they are rare and not
+loop-bound).
 """
 
 from __future__ import annotations
@@ -201,6 +202,20 @@ def apply_unitary(amps: np.ndarray, targets, matrix: np.ndarray) -> None:
     view = amps.reshape([2] * n).transpose(first + [a for a in range(n) if a not in first])
     u = np.asarray(matrix, dtype=np.complex128)
     view[...] = (u @ view.reshape(1 << k, -1)).reshape(view.shape)
+
+
+def apply_diagonal(amps: np.ndarray, targets, phases: np.ndarray) -> None:
+    """Multiply the amplitudes by a diagonal over ``targets``.
+
+    ``phases[sum_j bit(targets[j]) << j]`` multiplies every amplitude with
+    those target bits.  The state is viewed as in :func:`apply_unitary`,
+    target axes first, and the phases broadcast over the rest.
+    """
+    k = len(targets)
+    n = amps.size.bit_length() - 1
+    first = [n - 1 - q for q in reversed(targets)]
+    view = amps.reshape([2] * n).transpose(first + [a for a in range(n) if a not in first])
+    view *= np.asarray(phases, dtype=np.complex128).reshape([2] * k + [1] * (n - k))
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,8 @@ def emit(circuit: Circuit) -> str:
     if circuit.has_measure:
         lines.append(f"creg c[{circuit.n_qubits}];")
     for g in circuit.gates:
-        if g.kind is GateKind.UNITARY:
-            raise QasmError("unitary escape-hatch gates have no assembly form")
+        if g.kind in (GateKind.UNITARY, GateKind.DIAGONAL):
+            raise QasmError(f"{g.kind.value} escape-hatch gates have no assembly form")
         if g.kind is GateKind.MEASURE:
             q = g.qubits[0]
             lines.append(f"measure q[{q}] -> c[{q}];")

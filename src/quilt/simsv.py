@@ -98,6 +98,8 @@ def _apply_gate(amps: np.ndarray, gate) -> None:
             kernels.apply_two(amps, gate.qubits[0], gate.qubits[1], gate.matrix)
         else:
             kernels.apply_unitary(amps, gate.qubits, gate.matrix)
+    elif kind is GateKind.DIAGONAL:
+        kernels.apply_diagonal(amps, gate.qubits, gate.matrix)
     elif kind in _DIAG_1Q or kind is GateKind.RZ:
         kernels.apply_diag_single(amps, gate.qubits[0], *gate.unitary().diagonal())
     else:

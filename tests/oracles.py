@@ -8,10 +8,11 @@ one-combination-at-a-time knitting loop and the one-shot-at-a-time
 trajectory loop that ``knit.knit_execute``'s batch engine replaced, the
 per-policy scan loops that ``sched.schedule`` replaced with one event loop,
 the one-trace-per-string Pauli decomposition that ``hhl.pauli_decompose``
-replaced with bit masks, and the HHL circuit builder that rebuilds its
-clock blocks on every call, which ``hhl.build_hhl_circuit`` replaced with
-blocks built once per register size.  ``qaoa_p1_expected_cut`` is the closed form of the
-p = 1 QAOA objective.
+replaced with bit masks, and the HHL circuit builder in the computational
+basis that rebuilds every block on every call, which
+``hhl.build_hhl_circuit`` replaced with diagonal gates in ``A``'s
+eigenbasis and clock blocks built once per register size.
+``qaoa_p1_expected_cut`` is the closed form of the p = 1 QAOA objective.
 """
 
 from __future__ import annotations
@@ -114,11 +115,30 @@ def reference_pauli_decompose(matrix) -> PauliSum:
     return PauliSum(terms)
 
 
+def _completion_unitary(vec: np.ndarray) -> np.ndarray:
+    """Unitary whose first column is the given unit vector (Gram-Schmidt)."""
+    dim = vec.shape[0]
+    cols = [vec]
+    for k in range(dim):
+        cand = np.zeros(dim, dtype=complex)
+        cand[k] = 1.0
+        for c in cols:
+            cand = cand - np.vdot(c, cand) * c
+        norm = np.linalg.norm(cand)
+        if norm > 1e-9:
+            cols.append(cand / norm)
+        if len(cols) == dim:
+            break
+    return np.stack(cols, axis=1)
+
+
 def reference_hhl_circuit(sys):
-    """``hhl.build_hhl_circuit`` building and checking every block, the
-    clock Fourier transforms and the inversion included, on every call."""
+    """``hhl.build_hhl_circuit`` in the computational basis, building and
+    checking every block on every call: Gram-Schmidt state preparation,
+    dense controlled powers and their adjoints, the clock Fourier transforms
+    and a dense inversion matrix."""
     from quilt.circuit import Circuit
-    from quilt.hhl import _completion_unitary, _qft_matrix
+    from quilt.hhl import _qft_matrix
 
     n, m = sys.n, sys.m
     dim = sys.dim
@@ -258,6 +278,8 @@ def gate_full(gate, n: int) -> np.ndarray:
         return cz_full(gate.qubits[0], gate.qubits[1], n)
     if k is GateKind.UNITARY:
         return unitary_full(gate.matrix, gate.qubits, n)
+    if k is GateKind.DIAGONAL:
+        return unitary_full(np.diag(gate.matrix), gate.qubits, n)
     raise ValueError(f"no oracle matrix for {k}")
 
 

@@ -304,3 +304,47 @@ def test_unitary_check_rejects_wrong_shapes(shape, qubits):
         matrix = np.eye(shape[0], dtype=complex)  # unitary, but the wrong size
     with pytest.raises(GateError, match="shape"):
         Gate(GateKind.UNITARY, qubits, matrix=matrix)
+
+
+# -- the diagonal escape hatch ------------------------------------------------
+
+
+def _phases(rng, dim):
+    return np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
+
+
+def test_diagonal_gate_unitary_and_adjoint():
+    rng = np.random.default_rng(11)
+    for qubits in [(0,), (2, 0), (1, 3, 0)]:
+        d = _phases(rng, 1 << len(qubits))
+        g = Gate(GateKind.DIAGONAL, qubits, matrix=d)
+        assert np.array_equal(g.unitary(), np.diag(d))
+        adj = g.adjoint()
+        assert adj.kind is GateKind.DIAGONAL and adj.qubits == qubits
+        assert np.array_equal(adj.matrix, d.conj())
+        assert np.max(np.abs(adj.unitary() @ g.unitary() - np.eye(len(d)))) < 1e-15
+    # a real +-1 vector is stored as complex
+    g = Gate(GateKind.DIAGONAL, (0,), matrix=[1, -1])
+    assert g.matrix.dtype == complex
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_diagonal_check_rejects_non_finite_entries(bad):
+    with pytest.raises(GateError, match="unit circle"):
+        Gate(GateKind.DIAGONAL, (0, 1), matrix=np.array([1, bad, 1j, -1]))
+
+
+def test_diagonal_check_rejects_off_unit_modulus_shapes_and_angles():
+    ok = np.array([1, 1j, -1, -1j])
+    Gate(GateKind.DIAGONAL, (0, 1), matrix=ok * (1 + 0.9e-9))  # within 1e-9
+    for scale in (1 + 1.1e-9, 1 - 1.1e-9, 0.5, 0.0):
+        with pytest.raises(GateError, match="unit circle"):
+            Gate(GateKind.DIAGONAL, (0, 1), matrix=ok * np.array([1, 1, scale, 1]))
+    for matrix, qubits in [(ok, (0,)), (ok, (0, 1, 2)), (np.diag(ok), (0, 1)),
+                           (ok[:1], (0,)), (np.ones((2, 1)), (0,))]:
+        with pytest.raises(GateError, match="shape"):
+            Gate(GateKind.DIAGONAL, qubits, matrix=matrix)
+    with pytest.raises(GateError, match="angle"):
+        Gate(GateKind.DIAGONAL, (0, 1), param=0.3, matrix=ok)
+    with pytest.raises(GateError, match="at least one qubit"):
+        Gate(GateKind.DIAGONAL, (), matrix=np.ones(1))

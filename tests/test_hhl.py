@@ -379,9 +379,78 @@ def test_circuit_equals_the_reference_builder_across_cache_hits_and_misses():
     for k, (n, m) in enumerate(order):
         system = (dyadic_system(rng, n, m) if k % 2
                   else random_spd_system(rng, 1 << n, cond=4.0, m=m))
-        assert build_hhl_circuit(system).gates == reference_hhl_circuit(system).gates
+        got = simulate(build_hhl_circuit(system)).amps
+        want = simulate(reference_hhl_circuit(system)).amps
+        assert np.max(np.abs(got - want)) <= 1e-12, (n, m)
     info = _clock_gates.cache_info()
     assert info.hits >= len(sizes) and info.misses > len(sizes)
+
+
+def reference_solve(system):
+    """x and success probability from ``oracles.reference_hhl_circuit``."""
+    state = simulate(reference_hhl_circuit(system)).amps
+    offset = 1 << (system.n + system.m)
+    x_raw = state[offset:offset + system.dim]
+    return x_raw / np.linalg.norm(x_raw), float(np.linalg.norm(x_raw) ** 2)
+
+
+@pytest.mark.filterwarnings("ignore:clock register")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_matches_the_reference_builder(n):
+    rng = np.random.default_rng(50 + n)
+    for m in range(1, 10):
+        for system in (random_spd_system(rng, 1 << n, cond=4.0, m=m),
+                       dyadic_system(rng, n, m)):
+            result = solve(system)
+            x, success = reference_solve(system)
+            assert np.max(np.abs(result.x_quantum - x)) <= 1e-12, m
+            assert abs(result.success_prob - success) <= 1e-12, m
+
+
+def test_clock_cache_stays_within_its_byte_budget(monkeypatch):
+    from quilt import hhl
+
+    budget = 150 << 10
+    monkeypatch.setattr(hhl, "_CLOCK_CACHE_BYTES", budget)
+    hhl._clock_gates.cache_clear()
+    try:
+        for m in range(1, 8):
+            gates = hhl._clock_gates(1, m)
+            size = sum(g.matrix.nbytes for g in gates[1:])
+            info = hhl._clock_gates.cache_info()
+            assert info.nbytes <= budget, m
+            kept = info.currsize
+            hhl._clock_gates(1, m)
+            again = hhl._clock_gates.cache_info()
+            # a size within the budget is kept (a hit), a larger one is not
+            assert (again.hits - info.hits, again.misses - info.misses) == (
+                (1, 0) if size <= budget else (0, 1)), m
+            assert again.currsize == kept and again.nbytes == info.nbytes
+        # m = 6 holds 130 KiB, so it pushed every smaller size out, and
+        # m = 7 (514 KiB) was never kept
+        before = hhl._clock_gates.cache_info()
+        assert before.currsize == 1
+        hhl._clock_gates(1, 6)
+        assert hhl._clock_gates.cache_info().hits == before.hits + 1
+    finally:
+        hhl._clock_gates.cache_clear()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "zero head", "near e0", "e0 phase"])
+def test_householder_prep_first_column_is_the_rhs(kind):
+    from quilt.hhl import _state_prep
+
+    rng = np.random.default_rng(60)
+    for dim in (2, 4, 8, 16):
+        b = {"real": rng.normal(size=dim),
+             "complex": rng.normal(size=dim) + 1j * rng.normal(size=dim),
+             "zero head": np.concatenate([[0.0], rng.normal(size=dim - 1)]),
+             "near e0": np.concatenate([[1.0], 1e-9 * rng.normal(size=dim - 1)]),
+             "e0 phase": np.eye(dim)[0] * np.exp(0.4j)}[kind]
+        b_hat = b / np.linalg.norm(b)
+        prep = _state_prep(b_hat)
+        assert np.max(np.abs(prep[:, 0] - b_hat)) <= 1e-12
+        assert np.max(np.abs(prep.conj().T @ prep - np.eye(dim))) <= 1e-12
 
 
 def test_clock_gates_are_shared_and_read_only():
@@ -429,3 +498,46 @@ def test_non_finite_matrix_is_rejected(bad):
 def test_non_finite_rhs_is_rejected(bad):
     with pytest.raises(HhlError, match="non-finite"):
         LinearSystem.build(np.eye(2), [1.0, bad])
+
+
+def test_clock_cache_counts_hold_under_concurrent_callers(monkeypatch):
+    import sys
+    import threading
+
+    from quilt import hhl
+
+    budget = 40 << 10  # m <= 5 fits; each m = 5 entry evicts most others
+    monkeypatch.setattr(hhl, "_CLOCK_CACHE_BYTES", budget)
+    hhl._clock_gates.cache_clear()
+    calls, workers = 60, 6
+    errors = []
+
+    def caller(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(calls):
+                n, m = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+                gates = hhl._clock_gates(n, m)
+                assert gates[2].qubits == tuple(range(n, n + m + 1))
+        except Exception as exc:  # reported below, from the main thread
+            errors.append(exc)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(saved)
+    info = hhl._clock_gates.cache_info()
+    kept = [sum(g.matrix.nbytes for g in gates[1:])
+            for gates, _ in hhl._clock_gates._entries.values()]
+    hhl._clock_gates.cache_clear()
+    assert not errors
+    assert info.hits + info.misses == calls * workers
+    assert info.currsize == len(kept) <= hhl._CLOCK_CACHE_KEYS
+    assert info.nbytes == sum(kept) <= budget

@@ -91,6 +91,43 @@ def test_unitary_gate_op_on_a_batch_matches_each_row(batch):
             assert np.max(np.abs(got - full @ row)) <= 1e-12, targets
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_diagonal_matches_dense_embedding_for_every_target_order(n):
+    rng = np.random.default_rng(80 + n)
+    for k in range(1, n + 1):
+        for _ in range(3):
+            targets = tuple(int(q) for q in rng.permutation(n)[:k])
+            d = np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << k))
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            work = psi.copy()
+            kernels.apply_diagonal(work, targets, d)
+            ref = unitary_full(np.diag(d), targets, n) @ psi
+            assert np.max(np.abs(work - ref)) <= 1e-12, (n, targets)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7])
+def test_diagonal_gates_compiled_on_a_batch_match_each_row(batch):
+    from quilt.circuit import Circuit, Gate, GateKind
+    from quilt.simsv import _apply_op, _compile
+
+    rng = np.random.default_rng(90 + batch)
+    n = 5
+    gates = [Gate(GateKind.DIAGONAL, targets,
+                  matrix=np.exp(1j * rng.uniform(-np.pi, np.pi, size=1 << len(targets))))
+             for targets in [(0, 1, 2), (4, 1), (3,), (3, 0, 4, 2)]]
+    gates.insert(2, Gate(GateKind.H, (1,)))
+    circuit = Circuit(n, tuple(gates))
+    ops = _compile(circuit.gates, n)
+    assert [op[0] for op in ops] == ["gate", "gate", "single", "single", "gate"]
+    rows = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+    amps = rows.copy()
+    for op in ops:
+        _apply_op(op, amps)
+    for got, row in zip(amps, rows):
+        want = statevector_oracle(circuit, initial=row)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_use_backend_validates():
     with pytest.raises(ValueError):
         kernels.use_backend("cuda")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quilt.circuit import Circuit, cx, h, measure, rzz
+from quilt.circuit import Circuit, Gate, GateKind, cx, h, measure, rzz
 from quilt.qasm import QasmError, emit, parse
 from quilt.simsv import sample, simulate
 
@@ -124,3 +124,12 @@ def test_measure_requires_creg():
 def test_trailing_garbage_rejected():
     with pytest.raises(QasmError):
         parse("OPENQASM 2.0; qreg q[1]; h q[0]; ???")
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(GateKind.UNITARY, (0, 1), matrix=np.eye(4)),
+    Gate(GateKind.DIAGONAL, (1, 0), matrix=np.array([1, 1j, -1, 1])),
+])
+def test_emit_refuses_escape_hatch_gates(gate):
+    with pytest.raises(QasmError, match="no assembly form"):
+        emit(Circuit(2, (h(0), gate)))

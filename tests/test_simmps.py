@@ -67,6 +67,18 @@ def test_swap_routing_for_nonadjacent_gates():
         mps_simulate(c, route=False)
 
 
+def test_routed_diagonal_gate_matches_statevector():
+    from quilt.circuit import Gate, GateKind
+
+    rng = np.random.default_rng(14)
+    for qubits in [(0, 3), (4, 1), (2, 3), (3, 2)]:
+        d = np.exp(1j * rng.uniform(-np.pi, np.pi, size=4))
+        c = Circuit(5, tuple(h(q) for q in range(5))
+                    + (cx(1, 2), Gate(GateKind.DIAGONAL, qubits, matrix=d), cx(0, 1)))
+        amps = mps_simulate(c).amplitudes()
+        assert np.max(np.abs(amps - simulate(c).amps)) <= 1e-12, qubits
+
+
 def test_truncation_reported_and_monotone_in_chi():
     rng = np.random.default_rng(6)
     c = random_circuit(rng, 8, 80, nearest_neighbor=True)
